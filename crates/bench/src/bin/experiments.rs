@@ -251,12 +251,15 @@ fn run_manifest(args: &[String]) {
             "--out" => out_dir = Some(PathBuf::from(take("a directory"))),
             "--threads" => {
                 let raw = take("a positive worker count");
-                threads = Some(raw.parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or_else(
-                    || {
-                        eprintln!("bad thread count '{raw}' (expected an integer ≥ 1)");
-                        std::process::exit(2);
-                    },
-                ));
+                threads = Some(
+                    raw.parse::<usize>()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| {
+                            eprintln!("bad thread count '{raw}' (expected an integer ≥ 1)");
+                            std::process::exit(2);
+                        }),
+                );
             }
             "--bracket-effort" => {
                 let raw = take("analytic|cached|budget=<ms>");
@@ -318,9 +321,9 @@ fn run_manifest(args: &[String]) {
         }
         if let Some(results) = &m.results {
             let target = dir.join(results);
-            let existing = target.exists().then(|| {
-                fs::read_to_string(&target).expect("read existing results file")
-            });
+            let existing = target
+                .exists()
+                .then(|| fs::read_to_string(&target).expect("read existing results file"));
             let merged = dbp_bench::manifest::upsert_results(existing.as_deref(), &report)
                 .unwrap_or_else(|e| {
                     eprintln!("{}: {e}", target.display());

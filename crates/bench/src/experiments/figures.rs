@@ -26,9 +26,7 @@ pub fn fig1() -> ExperimentReport {
     }
     let snapshot_time = sim.now();
     let top = sim.algorithm().top_class();
-    let rows: Vec<(String, Vec<SnapshotBin>)> = sim
-        .algorithm()
-        .rows_detail()
+    let rows: Vec<(String, Vec<SnapshotBin>)> = dbp_algos::Cdff::rows_detail(sim.bins())
         .into_iter()
         .map(|(vkey, bins)| {
             let row_idx = top.saturating_sub(vkey);

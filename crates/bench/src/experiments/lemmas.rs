@@ -109,7 +109,7 @@ pub fn lemma35() -> ExperimentReport {
                     .expect("legal");
                 idx += 1;
             }
-            samples.push((t, sim.algorithm().cd_open()));
+            samples.push((t, HybridAlgorithm::cd_open(sim.bins())));
         }
         drop(sim);
         // The reduced instance's load profile.
@@ -323,14 +323,12 @@ pub fn lemma512() -> ExperimentReport {
                 let bin = sim
                     .arrive_at(it.arrival, it.duration(), it.size)
                     .expect("legal");
-                let row = sim
-                    .algorithm()
-                    .row_of_bin(bin)
-                    .expect("freshly used bins are in a row");
+                let row =
+                    Cdff::row_of_bin(sim.bins(), bin).expect("freshly used bins are in a row");
                 item_row.push(row);
                 idx += 1;
             }
-            snapshots.push((t, sim.algorithm().row_sizes()));
+            snapshots.push((t, Cdff::row_sizes(sim.bins())));
         }
         drop(sim);
 

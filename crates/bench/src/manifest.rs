@@ -197,12 +197,18 @@ fn parse_toml(text: &str) -> Result<Vec<(String, String, Toml)>, String> {
             return Err(format!("line {lineno}: empty key"));
         }
         if section.is_empty() {
-            return Err(format!("line {lineno}: `{key}` appears before any [section]"));
+            return Err(format!(
+                "line {lineno}: `{key}` appears before any [section]"
+            ));
         }
         if entries.iter().any(|(s, k, _)| s == &section && k == key) {
             return Err(format!("line {lineno}: duplicate key `{section}.{key}`"));
         }
-        entries.push((section.clone(), key.to_string(), parse_value(value, lineno)?));
+        entries.push((
+            section.clone(),
+            key.to_string(),
+            parse_value(value, lineno)?,
+        ));
     }
     Ok(entries)
 }
@@ -345,15 +351,13 @@ impl Manifest {
                     m.algorithms = expect_array(value, &what, |v| expect_str(v, &what))?
                 }
                 ("grid", "items") => {
-                    m.items = expect_array(value, &what, |v| {
-                        expect_u64(v, &what).map(|n| n as usize)
-                    })?
+                    m.items =
+                        expect_array(value, &what, |v| expect_u64(v, &what).map(|n| n as usize))?
                 }
                 ("grid", "mu") => m.mus = expect_array(value, &what, |v| expect_u64(v, &what))?,
                 ("grid", "dims") => {
-                    m.dims = expect_array(value, &what, |v| {
-                        expect_u64(v, &what).map(|n| n as usize)
-                    })?
+                    m.dims =
+                        expect_array(value, &what, |v| expect_u64(v, &what).map(|n| n as usize))?
                 }
                 ("grid", "failure-rates") => {
                     m.failure_rates = expect_array(value, &what, |v| match v {
@@ -410,10 +414,10 @@ impl Manifest {
                 return Err(format!("unknown algorithm `{name}`"));
             }
         }
-        if self.items.iter().any(|&n| n == 0) {
+        if self.items.contains(&0) {
             return Err("grid.items entries must be positive".to_string());
         }
-        if self.mus.iter().any(|&mu| mu == 0) {
+        if self.mus.contains(&0) {
             return Err("grid.mu entries must be positive".to_string());
         }
         for &d in &self.dims {
@@ -431,9 +435,7 @@ impl Manifest {
         }
         if self.workloads.iter().any(|k| k == "general") {
             if self.dims.iter().any(|&d| d > 1) {
-                return Err(
-                    "workload `general` is scalar-only: grid.dims must be [1]".to_string()
-                );
+                return Err("workload `general` is scalar-only: grid.dims must be [1]".to_string());
             }
             if self.mus.iter().any(|&mu| !mu.is_power_of_two()) {
                 return Err(
@@ -870,13 +872,9 @@ retry = "fixed=3"
             // Duplicate keys are legal here because the override comes
             // *after* the defaults-bearing line — rebuild from scratch.
             let text = if grid.starts_with("workloads") {
-                format!(
-                    "[fleet]\nname = \"x\"\n[grid]\n{grid}\nalgorithms = [\"first-fit\"]"
-                )
+                format!("[fleet]\nname = \"x\"\n[grid]\n{grid}\nalgorithms = [\"first-fit\"]")
             } else if grid.starts_with("algorithms") {
-                format!(
-                    "[fleet]\nname = \"x\"\n[grid]\nworkloads = [\"vm-correlated\"]\n{grid}"
-                )
+                format!("[fleet]\nname = \"x\"\n[grid]\nworkloads = [\"vm-correlated\"]\n{grid}")
             } else {
                 base(grid)
             };
@@ -902,7 +900,10 @@ retry = "fixed=3"
         assert!(fresh.contains("\"dbp-fleet-v1\""));
         assert!(fresh.contains("vm-correlated/first-fit/n30/mu100/d2/f0"));
         // Upserting the same run over its own output is a fixed point.
-        assert_eq!(upsert_results(Some(&fresh), &report).expect("re-upsert"), fresh);
+        assert_eq!(
+            upsert_results(Some(&fresh), &report).expect("re-upsert"),
+            fresh
+        );
         // A foreign row survives, and lands in sorted position.
         let foreign = fresh.replace(
             "    {\"id\": \"vm-correlated",

@@ -10,7 +10,11 @@ use dbp_bench::manifest::{run_fleet, upsert_results, Manifest};
 fn csv_rows(csv: &str) -> Vec<Vec<String>> {
     csv.lines()
         .skip(1) // header
-        .map(|l| l.split(',').map(|c| c.trim_matches('"').to_string()).collect())
+        .map(|l| {
+            l.split(',')
+                .map(|c| c.trim_matches('"').to_string())
+                .collect()
+        })
         .collect()
 }
 

@@ -32,13 +32,12 @@
 //! `t = t_0` an item of class `i` uses virtual key `v = i`; at `t > t_0`,
 //! `v = n − m_t + i` where `n` (the segment's top class) is frozen once the
 //! clock moves. Both agree with the paper's `row r = m_t − i` under the
-//! order-reversing relabeling `r = n − v`.
-
-use std::collections::HashMap;
+//! order-reversing relabeling `r = n − v`. Each row is the engine bin
+//! class numbered by its virtual key, so the rows themselves live in the
+//! engine's bin store: [`Cdff`] keeps only the segment frame.
 
 use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
-use dbp_core::bin_state::BinId;
-use dbp_core::fit_tree::SubsetFitTree;
+use dbp_core::bin_state::{BinClass, BinId, BinStore};
 use dbp_core::item::Item;
 use dbp_core::time::Time;
 
@@ -68,13 +67,6 @@ pub struct Cdff {
     top_class: u32,
     /// End of the current segment: `t_0 + 2^n`.
     segment_end: Time,
-    /// Rows keyed by virtual index; each row mirrors its open bins (with
-    /// remaining capacity) in a First-Fit tree, in opening order.
-    rows: HashMap<u32, SubsetFitTree>,
-    /// Reverse index: bin → virtual row key.
-    bin_row: HashMap<BinId, u32>,
-    /// Count of currently open bins (for debug assertions on segmentation).
-    open_bins: usize,
 }
 
 impl Cdff {
@@ -83,28 +75,24 @@ impl Cdff {
         Cdff::default()
     }
 
-    /// Number of distinct rows currently holding at least one bin.
-    pub fn active_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Open-bin count per row (sorted by paper row index, i.e. largest
-    /// virtual key = row 0 first); used by the Figure 1/3 renderers.
-    pub fn row_sizes(&self) -> Vec<(u32, usize)> {
-        self.rows_detail()
+    /// Open-bin count per row of a CDFF-packed store (sorted by paper row
+    /// index, i.e. largest virtual key = row 0 first); used by the
+    /// Figure 1/3 renderers.
+    pub fn row_sizes(bins: &BinStore) -> Vec<(u32, usize)> {
+        Cdff::rows_detail(bins)
             .into_iter()
             .map(|(k, bins)| (k, bins.len()))
             .collect()
     }
 
-    /// The full row structure: `(virtual_key, bins in opening order)`,
-    /// sorted with the paper's row 0 (largest virtual key) first. The
-    /// paper's row index of an entry is `top_class − virtual_key`.
-    pub fn rows_detail(&self) -> Vec<(u32, Vec<BinId>)> {
-        let mut v: Vec<(u32, Vec<BinId>)> = self
-            .rows
-            .iter()
-            .map(|(&k, row)| (k, row.iter().map(|(b, _)| b).collect()))
+    /// The full row structure of a CDFF-packed store: `(virtual_key, bins
+    /// in opening order)`, sorted with the paper's row 0 (largest virtual
+    /// key) first. The paper's row index of an entry is
+    /// `top_class − virtual_key`.
+    pub fn rows_detail(bins: &BinStore) -> Vec<(u32, Vec<BinId>)> {
+        let mut v: Vec<(u32, Vec<BinId>)> = bins
+            .open_classes()
+            .map(|row| (Cdff::key_of(row), bins.bins_in(row).map(|r| r.id).collect()))
             .collect();
         v.sort_by_key(|e| std::cmp::Reverse(e.0));
         v
@@ -115,10 +103,16 @@ impl Cdff {
         self.top_class
     }
 
-    /// The virtual row key of an *open* bin (None once it closed or if the
-    /// bin is not CDFF's). The paper's row index is `top_class − key`.
-    pub fn row_of_bin(&self, bin: BinId) -> Option<u32> {
-        self.bin_row.get(&bin).copied()
+    /// The virtual row key of an *open* bin of a CDFF-packed store (None
+    /// once it closed). The paper's row index is `top_class − key`.
+    pub fn row_of_bin(bins: &BinStore, bin: BinId) -> Option<u32> {
+        let rec = bins.record(bin).filter(|r| r.is_open())?;
+        rec.class.map(Cdff::key_of)
+    }
+
+    /// The virtual key of a row's bin class (the class number is the key).
+    fn key_of(row: BinClass) -> u32 {
+        u32::try_from(row.0).expect("CDFF row classes are u32 keys")
     }
 
     /// The virtual row key for an item of class `i` arriving at `t`.
@@ -148,16 +142,14 @@ impl Cdff {
         }
     }
 
-    fn maybe_start_new_segment(&mut self, t: Time) {
+    fn maybe_start_new_segment(&mut self, t: Time, open_bins: usize) {
         if let Some(origin) = self.origin {
             // For aligned inputs every bin has emptied by the segment end
             // (all segment items depart within it), so a reset is safe. On
             // misaligned inputs (defensive path) bins may straddle the
             // boundary; then we keep the old frame, which still yields a
             // valid First-Fit packing, just without the aligned guarantee.
-            if t >= self.segment_end && t > origin && self.open_bins == 0 {
-                self.rows.clear();
-                self.bin_row.clear();
+            if t >= self.segment_end && t > origin && open_bins == 0 {
                 self.origin = Some(t);
                 self.top_class = 0;
                 self.segment_end = t + dbp_core::time::Dur(1);
@@ -172,62 +164,21 @@ impl OnlineAlgorithm for Cdff {
     }
 
     fn on_arrival(&mut self, view: &SimView<'_>, item: &Item) -> Placement {
-        self.maybe_start_new_segment(item.arrival);
-        let key = self.virtual_key(item.arrival, item.class_index());
-        let row = self.rows.entry(key).or_default();
-        // First-Fit within the row: one O(log row) tree descent.
-        if let Some(b) = row.first_fit(item.size) {
-            debug_assert!(view.fits(b, item.size), "row mirror diverged");
-            row.place(b, item.size);
-            return Placement::Existing(b);
+        self.maybe_start_new_segment(item.arrival, view.open_count());
+        let row = BinClass(u64::from(
+            self.virtual_key(item.arrival, item.class_index()),
+        ));
+        // First-Fit within the row: one O(log row) partition descent.
+        match view.first_fit_in(row, item.size) {
+            Some(b) => Placement::Existing(b),
+            None => Placement::OpenIn(row),
         }
-        let fresh = view.next_bin_id();
-        row.insert_fresh(fresh, item.size);
-        self.bin_row.insert(fresh, key);
-        self.open_bins += 1;
-        Placement::OpenNew
-    }
-
-    fn on_departure(&mut self, item: &Item, bin: BinId, bin_closed: bool) {
-        if bin_closed {
-            if let Some(key) = self.bin_row.remove(&bin) {
-                if let Some(row) = self.rows.get_mut(&key) {
-                    row.remove(bin);
-                    if row.is_empty() {
-                        self.rows.remove(&key);
-                    }
-                }
-                self.open_bins -= 1;
-            }
-        } else if let Some(&key) = self.bin_row.get(&bin) {
-            if let Some(row) = self.rows.get_mut(&key) {
-                if row.contains(bin) {
-                    row.free(bin, item.size);
-                }
-            }
-        }
-    }
-
-    fn on_bin_compact(&mut self, old_to_new: &[BinId], _new_len: usize) {
-        // Rows only hold open bins (closed ones are pruned on departure),
-        // so every key survives the renumbering.
-        for row in self.rows.values_mut() {
-            row.remap_bins(old_to_new);
-        }
-        self.bin_row = self
-            .bin_row
-            .drain()
-            .map(|(old, key)| (old_to_new[old.index()], key))
-            .collect();
     }
 
     fn reset(&mut self) {
         self.origin = None;
         self.top_class = 0;
         self.segment_end = Time::ZERO;
-        self.rows.clear();
-        self.bin_row.clear();
-        self.open_bins = 0;
     }
 }
 

@@ -11,12 +11,10 @@
 //! CBD is clairvoyant (it reads the item's duration, known on arrival) but
 //! ignores the *load* dimension that HA adds — the experiments show this is
 //! exactly what costs it the extra factor on sparse duration ladders.
-
-use std::collections::HashMap;
+//! Each band is an engine bin class, so CBD itself is stateless.
 
 use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
-use dbp_core::bin_state::BinId;
-use dbp_core::fit_tree::SubsetFitTree;
+use dbp_core::bin_state::BinClass;
 use dbp_core::item::Item;
 
 /// Classify-by-duration with configurable band width (in binary duration
@@ -25,11 +23,6 @@ use dbp_core::item::Item;
 pub struct ClassifyByDuration {
     /// Number of binary duration classes per band (≥ 1).
     width: u32,
-    /// Open bins of each band, mirrored (with remaining capacity) in a
-    /// First-Fit tree, in opening order.
-    band_bins: HashMap<u32, SubsetFitTree>,
-    /// Reverse index for departures.
-    bin_band: HashMap<BinId, u32>,
     name: String,
 }
 
@@ -47,15 +40,13 @@ impl ClassifyByDuration {
         assert!(width >= 1, "band width must be positive");
         ClassifyByDuration {
             width,
-            band_bins: HashMap::new(),
-            bin_band: HashMap::new(),
             name: format!("classify-duration(w={width})"),
         }
     }
 
     /// The band of an item: its binary duration class divided by the width.
-    fn band(&self, item: &Item) -> u32 {
-        item.class_index() / self.width
+    fn band(&self, item: &Item) -> BinClass {
+        BinClass(u64::from(item.class_index() / self.width))
     }
 }
 
@@ -66,55 +57,14 @@ impl OnlineAlgorithm for ClassifyByDuration {
 
     fn on_arrival(&mut self, view: &SimView<'_>, item: &Item) -> Placement {
         let band = self.band(item);
-        let bins = self.band_bins.entry(band).or_default();
         // First-Fit restricted to this band's bins: one O(log band) query.
-        if let Some(b) = bins.first_fit(item.size) {
-            debug_assert!(view.fits(b, item.size), "band mirror diverged");
-            bins.place(b, item.size);
-            return Placement::Existing(b);
-        }
-        let fresh = view.next_bin_id();
-        bins.insert_fresh(fresh, item.size);
-        self.bin_band.insert(fresh, band);
-        Placement::OpenNew
-    }
-
-    fn on_departure(&mut self, item: &Item, bin: BinId, bin_closed: bool) {
-        if bin_closed {
-            if let Some(band) = self.bin_band.remove(&bin) {
-                if let Some(bins) = self.band_bins.get_mut(&band) {
-                    bins.remove(bin);
-                    if bins.is_empty() {
-                        self.band_bins.remove(&band);
-                    }
-                }
-            }
-        } else if let Some(&band) = self.bin_band.get(&bin) {
-            if let Some(bins) = self.band_bins.get_mut(&band) {
-                if bins.contains(bin) {
-                    bins.free(bin, item.size);
-                }
-            }
+        match view.first_fit_in(band, item.size) {
+            Some(b) => Placement::Existing(b),
+            None => Placement::OpenIn(band),
         }
     }
 
-    fn on_bin_compact(&mut self, old_to_new: &[BinId], _new_len: usize) {
-        // Bands only hold open bins (closed ones are pruned on departure),
-        // so every key survives the renumbering.
-        for bins in self.band_bins.values_mut() {
-            bins.remap_bins(old_to_new);
-        }
-        self.bin_band = self
-            .bin_band
-            .drain()
-            .map(|(old, band)| (old_to_new[old.index()], band))
-            .collect();
-    }
-
-    fn reset(&mut self) {
-        self.band_bins.clear();
-        self.bin_band.clear();
-    }
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -8,38 +8,21 @@
 //! bins the item does not extend. Intuition: co-locating items that end
 //! together wastes the least usage time — and indeed it is near-optimal on
 //! benign traces, but the Section 4 adversary still forces `Ω(√log μ)` on
-//! it like on every online algorithm.
+//! it like on every online algorithm. A bin's closing time is the latest
+//! resident departure the engine's bin store books per bin, so the
+//! algorithm is stateless.
 
 use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
-use dbp_core::bin_state::BinId;
 use dbp_core::item::Item;
-use dbp_core::time::Time;
 
 /// Departure-aware best-match fit.
 #[derive(Debug, Clone, Default)]
-pub struct DepartureAwareFit {
-    /// Latest departure among residents, indexed densely by [`BinId`]
-    /// (ids are allocated sequentially and never reused, so a flat vector
-    /// gives O(1) lookups on the per-arrival scan without hashing).
-    /// `None` = closed, or a bin this algorithm never tracked.
-    bin_close: Vec<Option<Time>>,
-}
+pub struct DepartureAwareFit;
 
 impl DepartureAwareFit {
     /// Creates the algorithm.
     pub fn new() -> DepartureAwareFit {
-        DepartureAwareFit::default()
-    }
-
-    fn close_of(&self, bin: BinId) -> Option<Time> {
-        self.bin_close.get(bin.index()).copied().flatten()
-    }
-
-    fn set_close(&mut self, bin: BinId, at: Option<Time>) {
-        if self.bin_close.len() <= bin.index() {
-            self.bin_close.resize(bin.index() + 1, None);
-        }
-        self.bin_close[bin.index()] = at;
+        DepartureAwareFit
     }
 }
 
@@ -50,64 +33,24 @@ impl OnlineAlgorithm for DepartureAwareFit {
 
     fn on_arrival(&mut self, view: &SimView<'_>, item: &Item) -> Placement {
         // Among fitting bins minimize |bin_close − item.departure|, with a
-        // preference for bins closing at/after the item (no span extension).
-        let mut best: Option<(u64, u8, BinId)> = None; // (distance, extends, id)
-        for rec in view.open_bins() {
-            if !rec.fits(item.size) {
-                continue;
-            }
-            let close = self.close_of(rec.id).unwrap_or(rec.opened_at);
-            let (dist, extends) = if close >= item.departure {
-                (close.ticks() - item.departure.ticks(), 0u8)
-            } else {
-                (item.departure.ticks() - close.ticks(), 1u8)
-            };
-            let cand = (dist, extends, rec.id);
-            // Order: prefer non-extending, then smallest distance, then
-            // earliest bin. Encode by comparing (extends, dist, id).
-            let better = match best {
-                None => true,
-                Some((bd, be, bb)) => (extends, dist, rec.id) < (be, bd, bb),
-            };
-            if better {
-                best = Some((dist, extends, cand.2));
-            }
-        }
-        match best {
-            Some((_, _, b)) => {
-                let close = self.close_of(b).unwrap_or(item.departure);
-                self.set_close(b, Some(close.max(item.departure)));
-                Placement::Existing(b)
-            }
-            None => {
-                let fresh = view.next_bin_id();
-                self.set_close(fresh, Some(item.departure));
-                Placement::OpenNew
-            }
-        }
+        // preference for bins closing at/after the item (no span
+        // extension): order by (extends, distance, earliest bin).
+        view.open_bins()
+            .filter(|rec| rec.fits(item.size))
+            .map(|rec| {
+                let close = rec.latest_departure.ticks();
+                let due = item.departure.ticks();
+                if close >= due {
+                    (0u8, close - due, rec.id)
+                } else {
+                    (1u8, due - close, rec.id)
+                }
+            })
+            .min()
+            .map_or(Placement::OpenNew, |(_, _, b)| Placement::Existing(b))
     }
 
-    fn on_departure(&mut self, _item: &Item, bin: BinId, bin_closed: bool) {
-        if bin_closed && bin.index() < self.bin_close.len() {
-            self.bin_close[bin.index()] = None;
-        }
-    }
-
-    fn on_bin_compact(&mut self, old_to_new: &[BinId], new_len: usize) {
-        // The dense close vector follows the renumbering; dropped (closed)
-        // bins were already `None`.
-        let mut close = vec![None; new_len];
-        for (old, &new) in old_to_new.iter().enumerate() {
-            if new != BinId(u32::MAX) {
-                close[new.index()] = self.bin_close.get(old).copied().flatten();
-            }
-        }
-        self.bin_close = close;
-    }
-
-    fn reset(&mut self) {
-        self.bin_close.clear();
-    }
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -116,7 +59,7 @@ mod tests {
     use dbp_core::engine;
     use dbp_core::instance::Instance;
     use dbp_core::size::Size;
-    use dbp_core::time::Dur;
+    use dbp_core::time::{Dur, Time};
 
     fn sz(n: u64, d: u64) -> Size {
         Size::from_ratio(n, d)

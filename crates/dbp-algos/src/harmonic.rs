@@ -7,12 +7,11 @@
 //! world the enemy is wasted *time*, not space — Harmonic is included so
 //! the benign-workload tables can show that size classification neither
 //! helps nor replaces duration awareness: it inherits First-Fit's Ω(μ)
-//! pathology *and* pays extra span for class fragmentation.
-
-use std::collections::HashMap;
+//! pathology *and* pays extra span for class fragmentation. Each size
+//! class is an engine bin class, packed First-Fit.
 
 use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
-use dbp_core::bin_state::BinId;
+use dbp_core::bin_state::BinClass;
 use dbp_core::item::Item;
 use dbp_core::size::SIZE_SCALE;
 
@@ -20,9 +19,6 @@ use dbp_core::size::SIZE_SCALE;
 #[derive(Debug, Clone)]
 pub struct Harmonic {
     k: u32,
-    /// Open bins per size class, in opening order.
-    class_bins: HashMap<u32, Vec<BinId>>,
-    bin_class: HashMap<BinId, u32>,
     name: String,
 }
 
@@ -33,8 +29,6 @@ impl Harmonic {
         assert!(k >= 1, "need at least one class");
         Harmonic {
             k,
-            class_bins: HashMap::new(),
-            bin_class: HashMap::new(),
             name: format!("harmonic({k})"),
         }
     }
@@ -56,51 +50,14 @@ impl OnlineAlgorithm for Harmonic {
     }
 
     fn on_arrival(&mut self, view: &SimView<'_>, item: &Item) -> Placement {
-        let class = self.class(item);
-        let bins = self.class_bins.entry(class).or_default();
-        for &b in bins.iter() {
-            if view.fits(b, item.size) {
-                return Placement::Existing(b);
-            }
-        }
-        let fresh = view.next_bin_id();
-        bins.push(fresh);
-        self.bin_class.insert(fresh, class);
-        Placement::OpenNew
-    }
-
-    fn on_departure(&mut self, _item: &Item, bin: BinId, bin_closed: bool) {
-        if bin_closed {
-            if let Some(class) = self.bin_class.remove(&bin) {
-                if let Some(bins) = self.class_bins.get_mut(&class) {
-                    bins.retain(|&b| b != bin);
-                    if bins.is_empty() {
-                        self.class_bins.remove(&class);
-                    }
-                }
-            }
+        let class = BinClass(u64::from(self.class(item)));
+        match view.first_fit_in(class, item.size) {
+            Some(b) => Placement::Existing(b),
+            None => Placement::OpenIn(class),
         }
     }
 
-    fn on_bin_compact(&mut self, old_to_new: &[BinId], _new_len: usize) {
-        // Class lists only hold open bins; the renumbering is monotone, so
-        // rewriting in place keeps each list in opening order.
-        for bins in self.class_bins.values_mut() {
-            for b in bins.iter_mut() {
-                *b = old_to_new[b.index()];
-            }
-        }
-        self.bin_class = self
-            .bin_class
-            .drain()
-            .map(|(old, class)| (old_to_new[old.index()], class))
-            .collect();
-    }
-
-    fn reset(&mut self) {
-        self.class_bins.clear();
-        self.bin_class.clear();
-    }
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -33,15 +33,20 @@
 //!   arithmetic: `d > 1/(2√i) ⇔ 4·i·d² > 1` (both sides scaled by the
 //!   fixed-point factor), so no floating-point square roots are involved.
 //! * HA never needs `μ` in advance: types are computed per item.
+//! * The GN bins and each type's CD bins are engine bin classes
+//!   ([`GN_CLASS`], `HaType::class`): HA keeps no copy of its bins, only
+//!   the per-type active loads its threshold rule reads.
 
 use std::collections::HashMap;
 
 use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
-use dbp_core::bin_state::BinId;
-use dbp_core::fit_tree::SubsetFitTree;
+use dbp_core::bin_state::{BinClass, BinId, BinStore};
 use dbp_core::item::Item;
 use dbp_core::size::SIZE_SCALE;
-use dbp_core::time::Time;
+
+/// The engine bin class of HA's GN bins, shared by all types. No CD class
+/// collides with it (`HaType::class` is never 0).
+pub const GN_CLASS: BinClass = BinClass(0);
 
 /// An HA item type `(i, c)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,6 +55,23 @@ struct HaType {
     i: u32,
     /// Arrival window index.
     c: u64,
+}
+
+impl HaType {
+    /// The bin class of this type's CD bins: `2^(i−1)·(2c+1)`. The odd
+    /// factor carries `c` and the power of two carries `i`, so distinct
+    /// types get distinct classes, none of them [`GN_CLASS`].
+    fn class(self) -> BinClass {
+        let odd = self
+            .c
+            .checked_mul(2)
+            .and_then(|c2| c2.checked_add(1))
+            .expect("HA arrival window index overflows a bin class");
+        let class = odd
+            .checked_mul(1u64 << (self.i - 1))
+            .expect("HA type overflows a bin class");
+        BinClass(class)
+    }
 }
 
 /// Threshold rules for opening CD bins; the paper's choice is
@@ -111,35 +133,25 @@ pub enum InnerFit {
 }
 
 impl InnerFit {
-    /// Chooses among a group's bins (mirrored in a [`SubsetFitTree`], in
-    /// opening order) for an item of size `s`. First-Fit is a single
-    /// O(log k) tree descent — the hot path for the paper's presentation;
-    /// Best/Worst genuinely need every candidate's load and iterate.
+    /// Chooses among the open bins of `class` (in opening order) for an
+    /// item of size `s`. First-Fit is a single O(log k) partition descent
+    /// — the hot path for the paper's presentation; Best/Worst genuinely
+    /// need every candidate's load and iterate.
     fn choose(
         self,
         view: &SimView<'_>,
-        bins: &SubsetFitTree,
+        class: BinClass,
         s: dbp_core::size::SizeVec,
     ) -> Option<BinId> {
-        let load_of = |b: BinId| view.bin(b).map(|r| r.load).unwrap_or_default();
+        let fitting = || view.bins_in(class).filter(move |r| r.fits(s));
         match self {
-            InnerFit::First => bins.first_fit(s),
-            InnerFit::Best => bins
-                .iter()
-                .map(|(b, _)| b)
-                .filter(|&b| view.fits(b, s))
-                .max_by_key(|&b| {
-                    let l = load_of(b);
-                    (l.max_raw(), l, std::cmp::Reverse(b))
-                }),
-            InnerFit::Worst => bins
-                .iter()
-                .map(|(b, _)| b)
-                .filter(|&b| view.fits(b, s))
-                .min_by_key(|&b| {
-                    let l = load_of(b);
-                    (l.max_raw(), l, b)
-                }),
+            InnerFit::First => view.first_fit_in(class, s),
+            InnerFit::Best => fitting()
+                .max_by_key(|r| (r.load.max_raw(), r.load, std::cmp::Reverse(r.id)))
+                .map(|r| r.id),
+            InnerFit::Worst => fitting()
+                .min_by_key(|r| (r.load.max_raw(), r.load, r.id))
+                .map(|r| r.id),
         }
     }
 
@@ -152,27 +164,15 @@ impl InnerFit {
     }
 }
 
-/// Per-type bookkeeping.
+/// Per-type bookkeeping: the active load HA's threshold rule reads. This
+/// is state about items, not bins, so it stays with the algorithm.
 #[derive(Debug, Default, Clone)]
 struct TypeState {
     /// Total fixed-point load (max-dimension norm) of currently active
     /// items of this type (whether they sit in GN or CD bins).
     active_load_raw: u64,
-    /// Open CD bins dedicated to this type, mirrored (with remaining
-    /// capacity) in insertion = opening order.
-    cd_bins: SubsetFitTree,
     /// Number of active items of this type (for garbage collection).
     active_items: u32,
-}
-
-/// What HA decided for each bin (exposed for the Lemma 3.3 experiment,
-/// which tracks the GN-bin count over time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinKind {
-    /// General bin shared across types.
-    Gn,
-    /// Classify-by-duration bin dedicated to one type.
-    Cd,
 }
 
 /// The Hybrid Algorithm.
@@ -196,14 +196,6 @@ pub struct HybridAlgorithm {
     threshold: Threshold,
     inner_fit: InnerFit,
     types: HashMap<HaType, TypeState>,
-    /// Open GN bins, mirrored (with remaining capacity) in opening order.
-    gn_bins: SubsetFitTree,
-    /// Kind and (for CD) owning type of every bin HA ever opened.
-    bin_info: HashMap<BinId, (BinKind, Option<HaType>)>,
-    /// Running count of open GN bins (observable for Lemma 3.3).
-    gn_open: usize,
-    /// Running count of open CD bins (`k_t`, observable for Lemma 3.5).
-    cd_open: usize,
     /// High-water mark of open GN bins across the whole run.
     gn_peak: usize,
     name: String,
@@ -244,36 +236,22 @@ impl HybridAlgorithm {
             threshold,
             inner_fit,
             types: HashMap::new(),
-            gn_bins: SubsetFitTree::new(),
-            bin_info: HashMap::new(),
-            gn_open: 0,
-            cd_open: 0,
             gn_peak: 0,
             name,
         }
     }
 
-    /// The number of GN bins currently open (Lemma 3.3 asserts this never
-    /// exceeds `2 + 4√log μ`).
-    pub fn gn_open(&self) -> usize {
-        self.gn_open
-    }
-
-    /// The peak GN-bin count over the run so far.
+    /// The peak GN-bin count over the run so far (Lemma 3.3 asserts it
+    /// never exceeds `2 + 4√log μ`).
     pub fn gn_peak(&self) -> usize {
         self.gn_peak
     }
 
-    /// The number of CD bins currently open — the paper's `k_t`
-    /// (Lemma 3.5 charges OPT with `max(1, k_t / 4√log μ)` after the
-    /// reduction).
-    pub fn cd_open(&self) -> usize {
-        self.cd_open
-    }
-
-    /// The kind of a bin HA opened (None if unknown).
-    pub fn bin_kind(&self, bin: BinId) -> Option<BinKind> {
-        self.bin_info.get(&bin).map(|&(k, _)| k)
+    /// The number of CD bins open in an HA-packed store — the paper's
+    /// `k_t` (Lemma 3.5 charges OPT with `max(1, k_t / 4√log μ)` after the
+    /// reduction). Every bin HA opens is classed, GN or CD.
+    pub fn cd_open(bins: &BinStore) -> usize {
+        bins.open_count() - bins.class_open_count(GN_CLASS)
     }
 
     fn item_type(item: &Item) -> HaType {
@@ -281,14 +259,6 @@ impl HybridAlgorithm {
         let w = 1u64 << i;
         let c = item.arrival.ticks().div_ceil(w);
         HaType { i, c }
-    }
-
-    /// The reduced departure under the effective class (used only in
-    /// docs/tests; the algorithm itself never needs it).
-    #[allow(dead_code)]
-    fn reduced_departure(item: &Item) -> Time {
-        let t = Self::item_type(item);
-        Time((t.c + 1) * (1u64 << t.i))
     }
 }
 
@@ -302,105 +272,46 @@ impl OnlineAlgorithm for HybridAlgorithm {
         let state = self.types.entry(ty).or_default();
         state.active_load_raw += item.size.max_raw();
         state.active_items += 1;
+        let cd = ty.class();
 
         // Rule 1: an open CD bin for this type exists → First-Fit over the
         // type's CD bins, opening another CD bin if none fits.
-        if !state.cd_bins.is_empty() {
-            if let Some(b) = self.inner_fit.choose(view, &state.cd_bins, item.size) {
-                state.cd_bins.place(b, item.size);
-                return Placement::Existing(b);
-            }
-            let fresh = view.next_bin_id();
-            state.cd_bins.insert_fresh(fresh, item.size);
-            self.bin_info.insert(fresh, (BinKind::Cd, Some(ty)));
-            self.cd_open += 1;
-            return Placement::OpenNew;
+        if view.class_open_count(cd) > 0 {
+            return match self.inner_fit.choose(view, cd, item.size) {
+                Some(b) => Placement::Existing(b),
+                None => Placement::OpenIn(cd),
+            };
         }
 
         // Rule 2: type load (including r) above threshold → open the first
         // CD bin for this type.
         if self.threshold.exceeded(state.active_load_raw, ty.i) {
-            let fresh = view.next_bin_id();
-            state.cd_bins.insert_fresh(fresh, item.size);
-            self.bin_info.insert(fresh, (BinKind::Cd, Some(ty)));
-            self.cd_open += 1;
-            return Placement::OpenNew;
+            return Placement::OpenIn(cd);
         }
 
         // Rule 3: Any-Fit over the GN bins (First-Fit by default).
-        if let Some(b) = self.inner_fit.choose(view, &self.gn_bins, item.size) {
-            self.gn_bins.place(b, item.size);
+        if let Some(b) = self.inner_fit.choose(view, GN_CLASS, item.size) {
             return Placement::Existing(b);
         }
-        let fresh = view.next_bin_id();
-        self.gn_bins.insert_fresh(fresh, item.size);
-        self.bin_info.insert(fresh, (BinKind::Gn, None));
-        self.gn_open += 1;
-        self.gn_peak = self.gn_peak.max(self.gn_open);
-        Placement::OpenNew
+        self.gn_peak = self.gn_peak.max(view.class_open_count(GN_CLASS) + 1);
+        Placement::OpenIn(GN_CLASS)
     }
 
-    fn on_departure(&mut self, item: &Item, bin: BinId, bin_closed: bool) {
+    fn on_departure(&mut self, item: &Item, _bin: BinId, _bin_closed: bool) {
         let ty = Self::item_type(item);
         if let Some(state) = self.types.get_mut(&ty) {
             state.active_load_raw -= item.size.max_raw();
             state.active_items -= 1;
-        }
-        // Keep the capacity mirrors in sync: a surviving bin regains the
-        // departed size; an emptied bin leaves its group's index.
-        match self.bin_info.get(&bin) {
-            Some(&(BinKind::Gn, _)) => {
-                if bin_closed {
-                    self.gn_bins.remove(bin);
-                    self.bin_info.remove(&bin);
-                    self.gn_open -= 1;
-                } else if self.gn_bins.contains(bin) {
-                    self.gn_bins.free(bin, item.size);
-                }
-            }
-            Some(&(BinKind::Cd, Some(owner))) => {
-                if let Some(state) = self.types.get_mut(&owner) {
-                    if bin_closed {
-                        state.cd_bins.remove(bin);
-                    } else if state.cd_bins.contains(bin) {
-                        state.cd_bins.free(bin, item.size);
-                    }
-                }
-                if bin_closed {
-                    self.bin_info.remove(&bin);
-                    self.cd_open -= 1;
-                }
-            }
-            _ => {}
-        }
-        // Garbage-collect exhausted types.
-        if let Some(state) = self.types.get(&ty) {
-            if state.active_items == 0 && state.cd_bins.is_empty() {
+            // Garbage-collect exhausted types: a fresh entry is the same
+            // zero load.
+            if state.active_items == 0 {
                 self.types.remove(&ty);
             }
         }
     }
 
-    fn on_bin_compact(&mut self, old_to_new: &[BinId], _new_len: usize) {
-        // Every mirror only holds open bins (closed ones are pruned in
-        // `on_departure`), so all keys survive the renumbering.
-        self.gn_bins.remap_bins(old_to_new);
-        for state in self.types.values_mut() {
-            state.cd_bins.remap_bins(old_to_new);
-        }
-        self.bin_info = self
-            .bin_info
-            .drain()
-            .map(|(old, info)| (old_to_new[old.index()], info))
-            .collect();
-    }
-
     fn reset(&mut self) {
         self.types.clear();
-        self.gn_bins.clear();
-        self.bin_info.clear();
-        self.gn_open = 0;
-        self.cd_open = 0;
         self.gn_peak = 0;
     }
 }
@@ -412,7 +323,7 @@ mod tests {
     use dbp_core::engine;
     use dbp_core::instance::Instance;
     use dbp_core::size::Size;
-    use dbp_core::time::Dur;
+    use dbp_core::time::{Dur, Time};
 
     fn sz(n: u64, d: u64) -> Size {
         Size::from_ratio(n, d)

@@ -75,6 +75,25 @@ pub fn by_name(name: &str) -> Option<Box<dyn OnlineAlgorithm + Send>> {
     })
 }
 
+/// The decision state the named algorithm keeps outside the engine, or
+/// `None` when every decision is a function of the engine's bins, the
+/// arriving item and fixed parameters. A session snapshot carries engine
+/// state only, so an algorithm with private state cannot be restored
+/// exactly. Resolves names like [`by_name`], recursing on the recourse
+/// wrappers' prefixes (the wrappers themselves keep no state that outlives
+/// an epoch).
+pub fn private_state(name: &str) -> Option<&'static str> {
+    match name {
+        "hybrid" | "ha" => Some("HA's per-type active loads"),
+        "cdff" => Some("CDFF's segment frame"),
+        "random-fit" | "rf" => Some("Random-Fit's generator state"),
+        other => other
+            .strip_prefix("rod:")
+            .or_else(|| other.strip_prefix("amortized:"))
+            .and_then(private_state),
+    }
+}
+
 /// Display names of every registered online algorithm.
 pub fn registry_names() -> &'static [&'static str] {
     &[
@@ -121,6 +140,15 @@ mod tests {
             "amortized:classify-duration(w=3)"
         );
         assert!(by_name("rod:nope").is_none());
+    }
+
+    #[test]
+    fn private_state_recurses_through_wrappers() {
+        assert!(private_state("hybrid").is_some());
+        assert!(private_state("rod:amortized:cdff").is_some());
+        assert!(private_state("amortized:rf").is_some());
+        assert_eq!(private_state("rod:cbd:3"), None);
+        assert_eq!(private_state("departure-aware"), None);
     }
 
     #[test]

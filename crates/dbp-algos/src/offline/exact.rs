@@ -138,7 +138,9 @@ impl Segments {
 
     /// Every bin boundary is an event time, so the lookup always hits.
     fn index_of(&self, t: Time) -> usize {
-        self.times.binary_search(&t).expect("bin boundaries are event times")
+        self.times
+            .binary_search(&t)
+            .expect("bin boundaries are event times")
     }
 }
 

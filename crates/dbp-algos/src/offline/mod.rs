@@ -11,9 +11,7 @@ pub mod nonrepack;
 
 pub use anytime::{refine_opt_r, RefineStats};
 pub use budget::RefineBudget;
-pub use exact::{
-    exact_opt_nr, exact_opt_nr_budgeted, exact_opt_nr_reference_budgeted, ExactOpt,
-};
+pub use exact::{exact_opt_nr, exact_opt_nr_budgeted, exact_opt_nr_reference_budgeted, ExactOpt};
 pub use exact_repack::{
     exact_bin_count, exact_bin_count_budgeted, exact_bin_count_dp,
     exact_bin_count_reference_budgeted, exact_opt_r, BudgetedCount, MAX_EXACT_ITEMS,

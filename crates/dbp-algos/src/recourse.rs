@@ -53,15 +53,7 @@ fn plan_evacuation(view: &RecourseView<'_>, source: BinId) -> Option<Vec<Planned
         .sim()
         .open_bins()
         .filter(|r| r.id != source)
-        .map(|r| {
-            let latest = view
-                .residents(r.id)
-                .iter()
-                .map(|&(_, _, dep)| dep)
-                .max()
-                .unwrap_or(Time(0));
-            (r.id, r.load.raws(), latest)
-        })
+        .map(|r| (r.id, r.load.raws(), r.latest_departure))
         .collect();
     let mut plan = Vec::with_capacity(residents.len());
     // Rehouse the largest items first: if the big ones fit, the small ones
@@ -224,16 +216,9 @@ impl<A: OnlineAlgorithm> OnlineAlgorithm for AmortizedRepack<A> {
         let mut residents = view.residents(source);
         residents.sort_by_key(|&(id, size, _)| (core::cmp::Reverse(size), id));
         for (item, size, dep) in residents {
-            let target = sim.open_bins().find(|r| {
-                r.id != source
-                    && r.fits(size)
-                    && view
-                        .residents(r.id)
-                        .iter()
-                        .map(|&(_, _, d)| d)
-                        .max()
-                        .is_some_and(|latest| latest >= dep)
-            });
+            let target = sim
+                .open_bins()
+                .find(|r| r.id != source && r.fits(size) && r.latest_departure >= dep);
             if let Some(t) = target {
                 return Some(Migration { item, to: t.id });
             }

@@ -1,10 +1,10 @@
 //! Differential battery for engine bin-store compaction (PR 10).
 //!
 //! `InteractiveSim::compact_bins` renumbers the open bins and reclaims
-//! closed records; every algorithm keeping `BinId`-keyed state must
-//! follow through `on_bin_compact`. A run with periodic bin compaction
-//! must be bit-identical — cost, metrics, bins opened — to the same run
-//! without it, for every algorithm in the registry.
+//! closed records; the store renumbers its bin-class partitions with
+//! them, and no algorithm holds bin ids across calls. A run with periodic
+//! bin compaction must be bit-identical — cost, metrics, bins opened — to
+//! the same run without it, for every algorithm in the registry.
 
 use dbp_algos::{by_name, registry_names};
 use dbp_core::engine::InteractiveSim;
@@ -43,7 +43,10 @@ fn every_algorithm_survives_bin_compaction() {
         }
         compacted.drain_remaining().unwrap();
 
-        assert!(compactions > 0, "{name}: workload must exercise reclamation");
+        assert!(
+            compactions > 0,
+            "{name}: workload must exercise reclamation"
+        );
         assert_eq!(
             plain.cost_so_far(),
             compacted.cost_so_far(),

@@ -55,10 +55,7 @@ fn lemma_5_5_bit_mapping_holds_exactly() {
             let kmax = if t == 0 { n } else { t.trailing_zeros().min(n) };
             for k in (0..=kmax).rev() {
                 let bin = sim.arrive(Dur(1u64 << k), load).expect("legal");
-                let vkey = sim
-                    .algorithm()
-                    .row_of_bin(bin)
-                    .expect("fresh bin has a row");
+                let vkey = Cdff::row_of_bin(sim.bins(), bin).expect("fresh bin has a row");
                 // Paper row index = top_class − virtual key.
                 current_row[k as usize] = sim.algorithm().top_class() - vkey;
             }

@@ -4,9 +4,10 @@
 //! placements from **predicted** departures while the world runs on
 //! **actual** ones. [`PredictedLens`] wraps any
 //! [`OnlineAlgorithm`] and swaps each item's departure for its prediction
-//! on the way in — consistently in both `on_arrival` and `on_departure`,
-//! so stateful algorithms (HA's per-type loads, CDFF's rows) stay
-//! internally coherent even when reality disagrees with the forecast.
+//! on the way in — consistently in `on_arrival`, `on_departure` and the
+//! departure booked into each bin, so stateful algorithms (HA's per-type
+//! loads) stay internally coherent and departure-aware ones never read
+//! the actual future, even when reality disagrees with the forecast.
 //! Capacity can never be violated by a wrong prediction (sizes are exact);
 //! only the *cost* degrades — which is exactly what the
 //! `prediction-noise` experiment measures.
@@ -88,9 +89,15 @@ impl<A: OnlineAlgorithm> OnlineAlgorithm for PredictedLens<A> {
 
     fn on_departure(&mut self, item: &Item, bin: BinId, bin_closed: bool) {
         // Forward the SAME view the algorithm saw at arrival, so its
-        // internal bookkeeping (type loads, row maps) balances.
+        // internal bookkeeping (HA's type loads) balances.
         let seen = self.in_flight.remove(&item.id).unwrap_or(*item);
         self.inner.on_departure(&seen, bin, bin_closed);
+    }
+
+    fn planned_departure(&self, item: &Item) -> Time {
+        // Bins are booked with the forecast the algorithm planned around,
+        // so a departure-aware choice never reads the actual future.
+        self.predicted_view(item).departure
     }
 
     fn on_compact(&mut self, retained: &[ItemId], old_len: usize) {

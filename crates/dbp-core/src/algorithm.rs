@@ -10,8 +10,14 @@
 //! capacity respected) and rejects illegal moves with a typed
 //! [`crate::error::EngineError`]. This keeps the trust boundary crisp: an
 //! algorithm cannot corrupt the accounting that the experiments depend on.
+//!
+//! Bin state lives in the engine alone. An algorithm that packs classes of
+//! bins separately (HA's type chains, CDFF's rows, CBD's bands) opens each
+//! bin in a [`BinClass`] and queries the class through [`SimView`]; it
+//! never keeps a copy of its bins, so nothing it holds can go stale when
+//! the engine moves, crashes or renumbers them.
 
-use crate::bin_state::{BinId, BinRecord, BinStore};
+use crate::bin_state::{BinClass, BinId, BinRecord, BinStore};
 use crate::item::{Item, ItemId};
 use crate::recourse::{Migration, RecourseEpoch, RecourseView};
 use crate::size::SizeVec;
@@ -22,8 +28,13 @@ use crate::time::Time;
 pub enum Placement {
     /// Put the item into an already-open bin.
     Existing(BinId),
-    /// Open a fresh bin for the item.
+    /// Open a fresh, unclassed bin for the item.
     OpenNew,
+    /// Open a fresh bin of the given class for the item. The bin belongs
+    /// to the class for its whole life: [`SimView::first_fit_in`],
+    /// [`SimView::bins_in`] and [`SimView::class_open_count`] see it
+    /// until it closes.
+    OpenIn(BinClass),
 }
 
 /// A read-only view of the simulation the algorithm may consult when
@@ -90,18 +101,25 @@ impl<'a> SimView<'a> {
         self.bins.first_fit_linear(s)
     }
 
-    /// First-Fit restricted to an explicit candidate list: the first bin
-    /// *in slice order* that is open and fits `s`.
-    ///
-    /// This is the drop-in upgrade for algorithms that keep small candidate
-    /// sets as `Vec<BinId>`; each membership test is O(1), so the query is
-    /// O(candidates) instead of O(candidates · open-bins). Classes with
-    /// *large* candidate sets should mirror them in a
-    /// [`crate::fit_tree::SubsetFitTree`] instead, which answers the same
-    /// query in O(log candidates).
-    pub fn first_fit_among(&self, candidates: &[BinId], s: impl Into<SizeVec>) -> Option<BinId> {
-        let s = s.into();
-        candidates.iter().copied().find(|&b| self.fits(b, s))
+    /// First-Fit within `class`: the earliest-opened open bin of the class
+    /// with room for `s`, in O(log k) for a class of k bins. Counted as a
+    /// tree query, never as an open-list scan.
+    #[inline]
+    pub fn first_fit_in(&self, class: BinClass, s: impl Into<SizeVec>) -> Option<BinId> {
+        self.bins.first_fit_in(class, s)
+    }
+
+    /// The open bins of `class` in opening order — for Any-Fit rules other
+    /// than First-Fit within a class. Counted as a tree query.
+    #[inline]
+    pub fn bins_in(&self, class: BinClass) -> impl Iterator<Item = &'a BinRecord> + 'a {
+        self.bins.bins_in(class)
+    }
+
+    /// Number of open bins in `class`.
+    #[inline]
+    pub fn class_open_count(&self, class: BinClass) -> usize {
+        self.bins.class_open_count(class)
     }
 
     /// The most recently opened bin still open (Next-Fit's candidate), in
@@ -111,12 +129,11 @@ impl<'a> SimView<'a> {
         self.bins.newest_open()
     }
 
-    /// The id the engine will assign to the next freshly opened bin.
-    ///
-    /// Lets stateful algorithms (HA's CD bins, CDFF's rows) learn the id of
-    /// a bin they are about to open by returning [`Placement::OpenNew`]:
-    /// bin ids are allocated sequentially over the current record table
-    /// (dense again after a bin-store compaction).
+    /// The id the engine will assign to the next freshly opened bin, so a
+    /// wrapper that logs decisions can name the bin an
+    /// [`Placement::OpenNew`] or [`Placement::OpenIn`] creates: bin ids
+    /// are allocated sequentially over the current record table (dense
+    /// again after a bin-store compaction).
     #[inline]
     pub fn next_bin_id(&self) -> BinId {
         self.bins.next_id()
@@ -126,8 +143,10 @@ impl<'a> SimView<'a> {
 /// An online MinUsageTime DBP algorithm.
 ///
 /// Implementations may keep arbitrary internal state; the engine keeps them
-/// honest by validating every [`Placement`]. `on_departure` lets algorithms
-/// that tag bins (HA's CD bins, CDFF's rows) clean up their indexes.
+/// honest by validating every [`Placement`]. Per-bin state — a bin's
+/// class, its load, its latest resident departure — belongs to the engine
+/// and is read through [`SimView`]; `on_departure` is for state about
+/// *items* (HA's per-type active loads).
 pub trait OnlineAlgorithm {
     /// Human-readable name used in reports.
     fn name(&self) -> &str;
@@ -143,6 +162,17 @@ pub trait OnlineAlgorithm {
         let _ = (item, bin, bin_closed);
     }
 
+    /// The departure this algorithm planned `item`'s placement around,
+    /// which the engine books into the bin's
+    /// [`BinRecord::latest_departure`]. The default is the item's own
+    /// departure; a wrapper that shows its inner algorithm a forecast
+    /// instead (the cloud simulator's prediction lens) returns the
+    /// forecast, so the store never tells an algorithm a departure it was
+    /// not shown.
+    fn planned_departure(&self, item: &Item) -> Time {
+        item.departure
+    }
+
     /// Notification that the engine compacted its item table (see
     /// [`crate::engine::InteractiveSim::compact`]). `retained[new]` is the
     /// *old* id of the row now living at index `new`; `old_len` was the
@@ -153,16 +183,12 @@ pub trait OnlineAlgorithm {
         let _ = (retained, old_len);
     }
 
-    /// Notification that the engine compacted its *bin store* (see
-    /// [`crate::engine::InteractiveSim::compact_bins`]): closed bins'
-    /// records were reclaimed and the surviving open bins renumbered
-    /// densely, preserving opening order. `old_to_new[old.index()]` is the
-    /// bin's new id, or `BinId(u32::MAX)` for a dropped closed bin;
-    /// `new_len` is the new record-table length. All subsequent callbacks
-    /// use the new numbering, so algorithms keeping [`BinId`]-keyed state
-    /// must rewrite it here. Every stateful algorithm in this workspace
-    /// prunes closed bins in `on_departure`, so only open (surviving) bins
-    /// need translation.
+    /// Formerly the notification of a bin-store compaction
+    /// ([`crate::engine::InteractiveSim::compact_bins`]). The engine no
+    /// longer calls it: bin classes and per-bin state live in the store,
+    /// which renumbers them itself, so no algorithm holds [`BinId`]s
+    /// across calls. Kept as a default no-op so existing implementors and
+    /// forwarding wrappers still compile.
     fn on_bin_compact(&mut self, old_to_new: &[BinId], new_len: usize) {
         let _ = (old_to_new, new_len);
     }
@@ -198,6 +224,9 @@ impl<T: OnlineAlgorithm + ?Sized> OnlineAlgorithm for &mut T {
     fn on_departure(&mut self, item: &Item, bin: BinId, bin_closed: bool) {
         (**self).on_departure(item, bin, bin_closed)
     }
+    fn planned_departure(&self, item: &Item) -> Time {
+        (**self).planned_departure(item)
+    }
     fn on_compact(&mut self, retained: &[ItemId], old_len: usize) {
         (**self).on_compact(retained, old_len)
     }
@@ -226,6 +255,9 @@ impl<T: OnlineAlgorithm + ?Sized> OnlineAlgorithm for Box<T> {
     }
     fn on_departure(&mut self, item: &Item, bin: BinId, bin_closed: bool) {
         (**self).on_departure(item, bin, bin_closed)
+    }
+    fn planned_departure(&self, item: &Item) -> Time {
+        (**self).planned_departure(item)
     }
     fn on_compact(&mut self, retained: &[ItemId], old_len: usize) {
         (**self).on_compact(retained, old_len)
@@ -265,6 +297,34 @@ mod tests {
         assert_eq!(view.first_fit(Size::from_ratio(1, 2)), None);
         assert_eq!(view.bin(BinId(7)), None);
         assert_eq!(view.now(), Time(1));
+    }
+
+    #[test]
+    fn class_queries_see_only_their_class_in_opening_order() {
+        let (a, b) = (BinClass(1), BinClass(2));
+        let mut store = BinStore::new();
+        let a0 = store.open_in(Time(0), a);
+        let b0 = store.open_in(Time(0), b);
+        let a1 = store.open_in(Time(0), a);
+        let plain = store.open(Time(0));
+        store.add(a0, ItemId(0), Size::from_ratio(3, 4));
+        store.add(b0, ItemId(1), Size::from_ratio(1, 4));
+        store.add(a1, ItemId(2), Size::from_ratio(1, 4));
+        store.add(plain, ItemId(3), Size::from_ratio(1, 4));
+        let view = SimView::new(Time(1), &store);
+        assert_eq!(view.first_fit_in(a, Size::from_ratio(1, 2)), Some(a1));
+        assert_eq!(view.first_fit_in(a, Size::from_ratio(1, 8)), Some(a0));
+        assert_eq!(view.first_fit_in(b, Size::from_ratio(1, 2)), Some(b0));
+        assert_eq!(view.first_fit_in(BinClass(9), Size::from_raw(0)), None);
+        let ids: Vec<BinId> = view.bins_in(a).map(|r| r.id).collect();
+        assert_eq!(ids, [a0, a1]);
+        assert_eq!(view.class_open_count(a), 2);
+        assert_eq!(store.record(plain).unwrap().class, None);
+        // Closing a bin drops it from its class; the last one drops the
+        // class itself.
+        assert!(store.remove(b0, ItemId(1), Size::from_ratio(1, 4), Time(2)));
+        assert_eq!(store.class_open_count(b), 0);
+        assert_eq!(store.open_classes().count(), 1);
     }
 
     #[test]

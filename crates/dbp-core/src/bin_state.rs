@@ -2,25 +2,31 @@
 //!
 //! This is the simulator's hot path: every arrival queries First-Fit over
 //! the open bins and every departure updates one bin. The store therefore
-//! keeps three indexes alongside the flat record table:
+//! keeps four indexes alongside the flat record table:
 //!
 //! * a capacity tournament tree ([`crate::fit_tree::FitTree`], slot =
 //!   [`BinId`]) answering First-Fit in O(log B) instead of O(B);
+//! * one First-Fit partition ([`crate::fit_tree::SubsetFitTree`]) per
+//!   live [`BinClass`], answering First-Fit *within a class* — HA's type
+//!   chains and GN bins, CDFF's rows, CBD's bands — in O(log k), updated
+//!   by the same calls that update the record, so algorithms keep no copy
+//!   of their bins;
 //! * a per-bin position index into the opening-order open list, so closing
 //!   a bin is O(1) (tombstone + amortized compaction) instead of an O(B)
 //!   order-preserving `Vec::remove`;
 //! * a per-item slot index into its bin's resident list, so a departure's
 //!   item removal is O(1) instead of an O(items) scan.
 //!
-//! All three are pure indexes: the observable behaviour (which bin
+//! All four are pure indexes: the observable behaviour (which bin
 //! First-Fit picks, the iteration order of open bins) is bit-for-bit the
 //! linear-scan semantics, and [`BinStore::first_fit_linear`] retains the
 //! naive scan as a differential-testing oracle.
 
 use core::cell::Cell;
 use core::fmt;
+use std::collections::HashMap;
 
-use crate::fit_tree::FitTree;
+use crate::fit_tree::{FitTree, SubsetFitTree};
 use crate::item::ItemId;
 use crate::size::{LoadVec, SizeVec, SIZE_SCALE};
 use crate::time::Time;
@@ -29,10 +35,19 @@ use crate::time::Time;
 /// Closed bins are never reused (the problem's w.l.o.g. assumption), so a
 /// `BinId` names one bin for the whole run — until a
 /// [`BinStore::compact_bins`] reclaims closed records and renumbers the
-/// survivors densely (still in opening order); holders are notified
-/// through the engine's `on_bin_compact` hooks.
+/// survivors densely (still in opening order); the engine rewrites its
+/// own tables and tells its event sink through `EventSink::on_bin_compact`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BinId(pub u32);
+
+/// A class of bins an algorithm packs separately: one HA type chain (or
+/// HA's shared GN bins), one CDFF row, one CBD band, one Harmonic size
+/// class. A bin's class is fixed when it opens
+/// ([`crate::algorithm::Placement::OpenIn`]); the store keeps one
+/// First-Fit partition per class that has open bins. The number is the
+/// algorithm's own encoding and means nothing to the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct BinClass(pub u64);
 
 impl BinId {
     /// Index into per-bin arrays.
@@ -73,6 +88,13 @@ pub struct BinRecord {
     /// Ids of currently resident items (kept for diagnostics & figures).
     /// Order is not meaningful (removals swap).
     pub items: Vec<ItemId>,
+    /// The class the bin was opened in (`None` for an unclassed
+    /// [`crate::algorithm::Placement::OpenNew`]).
+    pub class: Option<BinClass>,
+    /// Latest departure among the current residents, as planned when each
+    /// was placed (see `OnlineAlgorithm::planned_departure`); the far
+    /// future while an undated resident is aboard.
+    pub latest_departure: Time,
 }
 
 impl BinRecord {
@@ -108,6 +130,17 @@ pub struct BinStore {
     dead: usize,
     /// Capacity tournament tree; slot = `BinId` index, closed bins keyed 0.
     tree: FitTree,
+    /// First-Fit partitions, one per class with open bins, each holding
+    /// the class's open bins in opening order. A slot emptied by its
+    /// class's last close is recycled through `free_parts`.
+    parts: Vec<SubsetFitTree>,
+    free_parts: Vec<u32>,
+    /// Class → its slot in `parts`, for class queries and opens.
+    class_part: HashMap<BinClass, u32>,
+    /// `part_of[bin]`: the `parts` slot of an open classed bin, [`NO_POS`]
+    /// otherwise — so placements and departures reach the partition
+    /// without hashing the class.
+    part_of: Vec<u32>,
     /// `item_pos[item] == i` ⇔ the item sits at `items[i]` of its bin.
     item_pos: Vec<u32>,
     /// Tournament-tree First-Fit queries answered (observability counter;
@@ -154,6 +187,10 @@ impl BinStore {
             open_pos: Vec::with_capacity(bins),
             dead: 0,
             tree: FitTree::with_capacity(bins),
+            parts: Vec::new(),
+            free_parts: Vec::new(),
+            class_part: HashMap::new(),
+            part_of: Vec::with_capacity(bins),
             item_pos: Vec::with_capacity(items),
             tree_queries: Cell::new(0),
             linear_scans: Cell::new(0),
@@ -163,8 +200,18 @@ impl BinStore {
         }
     }
 
-    /// Opens a new bin at time `t` and returns its id.
+    /// Opens a new unclassed bin at time `t` and returns its id.
     pub fn open(&mut self, t: Time) -> BinId {
+        self.open_with(t, None)
+    }
+
+    /// Opens a new bin of `class` at time `t` and returns its id; the bin
+    /// joins the class's First-Fit partition until it closes.
+    pub fn open_in(&mut self, t: Time, class: BinClass) -> BinId {
+        self.open_with(t, Some(class))
+    }
+
+    pub(crate) fn open_with(&mut self, t: Time, class: Option<BinClass>) -> BinId {
         let raw = u32::try_from(self.bins.len()).expect("too many bins");
         assert!(raw != TOMBSTONE.0, "too many bins");
         let id = BinId(raw);
@@ -175,11 +222,24 @@ impl BinStore {
             load: LoadVec::ZERO,
             resident: 0,
             items: self.spare_lists.pop().unwrap_or_default(),
+            class,
+            latest_departure: Time::ZERO,
         });
         self.open_pos.push(pos_id(self.open.len()));
         self.open.push(id);
         let slot = self.tree.push(SIZE_SCALE);
         debug_assert_eq!(slot, id.index());
+        let part = class.map_or(NO_POS, |class| {
+            let part = *self.class_part.entry(class).or_insert_with(|| {
+                self.free_parts.pop().unwrap_or_else(|| {
+                    self.parts.push(SubsetFitTree::new());
+                    pos_id(self.parts.len() - 1)
+                })
+            });
+            self.parts[part as usize].insert(id, SIZE_SCALE);
+            part
+        });
+        self.part_of.push(part);
         id
     }
 
@@ -199,8 +259,37 @@ impl BinStore {
         }
         self.item_pos[idx] = pos_id(rec.items.len());
         rec.items.push(item);
-        self.tree
-            .set_remaining_vec(bin.index(), &rec.load.remaining());
+        let remaining = rec.load.remaining();
+        self.tree.set_remaining_vec(bin.index(), &remaining);
+        let part = self.part_of[bin.index()];
+        if part != NO_POS {
+            self.parts[part as usize].set_remaining_vec(bin, &remaining, size.dims_used());
+        }
+    }
+
+    /// The partition of `class`, if it has open bins.
+    fn partition(&self, class: BinClass) -> Option<&SubsetFitTree> {
+        let &part = self.class_part.get(&class)?;
+        Some(&self.parts[part as usize])
+    }
+
+    /// Raises `bin`'s latest resident departure to cover `departure` (a
+    /// placement or a migration into the bin).
+    pub(crate) fn book_departure(&mut self, bin: BinId, departure: Time) {
+        let rec = &mut self.bins[bin.index()];
+        rec.latest_departure = rec.latest_departure.max(departure);
+    }
+
+    /// Recomputes `bin`'s latest resident departure from its residents,
+    /// after one left ahead of its departure (migration) or was dated.
+    pub(crate) fn rebook_departures(&mut self, bin: BinId, departure_of: impl Fn(ItemId) -> Time) {
+        let rec = &mut self.bins[bin.index()];
+        rec.latest_departure = rec
+            .items
+            .iter()
+            .map(|&i| departure_of(i))
+            .max()
+            .unwrap_or(Time::ZERO);
     }
 
     /// Removes an item from a bin; closes the bin (recording `t`) when it
@@ -232,6 +321,17 @@ impl BinStore {
             let spare = core::mem::take(&mut rec.items);
             self.spare_lists.push(spare);
             self.tree.close(bin.index());
+            let part = core::mem::replace(&mut self.part_of[bin.index()], NO_POS);
+            if part != NO_POS {
+                let partition = &mut self.parts[part as usize];
+                partition.remove(bin);
+                if partition.is_empty() {
+                    *partition = SubsetFitTree::new();
+                    self.free_parts.push(part);
+                    let class = rec.class.expect("a partitioned bin has a class");
+                    self.class_part.remove(&class);
+                }
+            }
             // O(1) open-list removal: tombstone the slot; opening order of
             // the survivors is untouched.
             let pos = self.open_pos[bin.index()] as usize;
@@ -248,8 +348,12 @@ impl BinStore {
             }
             true
         } else {
-            self.tree
-                .set_remaining_vec(bin.index(), &rec.load.remaining());
+            let remaining = rec.load.remaining();
+            self.tree.set_remaining_vec(bin.index(), &remaining);
+            let part = self.part_of[bin.index()];
+            if part != NO_POS {
+                self.parts[part as usize].set_remaining_vec(bin, &remaining, size.dims_used());
+            }
             false
         }
     }
@@ -311,10 +415,10 @@ impl BinStore {
     /// is the survivor's new id; [`TOMBSTONE`] marks a dropped record).
     /// Bounds the record table by the number of *open* bins instead of the
     /// number ever opened. The open list, position index and tournament
-    /// tree are rebuilt for the new id space; [`BinStore::total_opened`]
-    /// keeps counting retired records. Callers must remap every `BinId`
-    /// they hold — the engine pushes the mapping to the algorithm and sink
-    /// through their `on_bin_compact` hooks.
+    /// tree and class partitions are rebuilt for the new id space;
+    /// [`BinStore::total_opened`] keeps counting retired records. Callers
+    /// must remap every `BinId` they hold — the engine pushes the mapping
+    /// to its sink through `EventSink::on_bin_compact`.
     pub(crate) fn compact_bins(&mut self) -> Vec<BinId> {
         let old_len = self.bins.len();
         let mut old_to_new = vec![TOMBSTONE; old_len];
@@ -329,6 +433,9 @@ impl BinStore {
             return old_to_new; // nothing closed: identity map, no rebuild
         }
         self.retired += old_len - new_len;
+        let mut open = self.bins.iter().map(BinRecord::is_open);
+        self.part_of
+            .retain(|_| open.next().expect("one partition slot per record"));
         self.bins.retain(|r| r.is_open());
         let dims = self.tree.dims();
         let mut tree = FitTree::with_capacity(new_len);
@@ -346,6 +453,9 @@ impl BinStore {
             tree.set_remaining_vec(slot, &rec.load.remaining());
         }
         self.tree = tree;
+        for partition in &mut self.parts {
+            partition.remap_bins(&old_to_new);
+        }
         old_to_new
     }
 
@@ -367,6 +477,34 @@ impl BinStore {
         let id = self.bins[slot].id;
         debug_assert!(self.bins[slot].is_open() && self.bins[slot].fits(s));
         Some(id)
+    }
+
+    /// First-Fit within `class`: its earliest-opened bin that fits `s`,
+    /// answered by the class partition in O(log k). Counted as a tree
+    /// query.
+    pub fn first_fit_in(&self, class: BinClass, s: impl Into<SizeVec>) -> Option<BinId> {
+        self.tree_queries.set(self.tree_queries.get() + 1);
+        self.partition(class)?.first_fit(s)
+    }
+
+    /// The open bins of `class`, in opening order. Counted as a tree
+    /// query: the walk touches the class partition, not the open list.
+    pub fn bins_in(&self, class: BinClass) -> impl Iterator<Item = &BinRecord> + '_ {
+        self.tree_queries.set(self.tree_queries.get() + 1);
+        self.partition(class)
+            .into_iter()
+            .flat_map(move |p| p.iter().map(move |(b, _)| &self.bins[b.index()]))
+    }
+
+    /// Number of open bins in `class`.
+    #[inline]
+    pub fn class_open_count(&self, class: BinClass) -> usize {
+        self.partition(class).map_or(0, SubsetFitTree::len)
+    }
+
+    /// The classes that currently have open bins, in no particular order.
+    pub fn open_classes(&self) -> impl Iterator<Item = BinClass> + '_ {
+        self.class_part.keys().copied()
     }
 
     /// The seed's naive O(B) First-Fit scan, retained verbatim as the
@@ -619,7 +757,10 @@ mod tests {
             }
         }
         // First-Fit picks the same bin, under its new name.
-        assert_eq!(store.first_fit(half()), Some(map[before_ff.unwrap().index()]));
+        assert_eq!(
+            store.first_fit(half()),
+            Some(map[before_ff.unwrap().index()])
+        );
         assert_eq!(store.first_fit(half()), store.first_fit_linear(half()));
         assert_eq!(store.open_ids().collect::<Vec<_>>().len(), 4);
         // Items still removable through the rebuilt indexes; a fresh open

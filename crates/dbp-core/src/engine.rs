@@ -765,8 +765,9 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
     /// instead of the number ever opened. Returns `old_to_new`, where
     /// `old_to_new[old.index()]` is the survivor's new id and
     /// `BinId(u32::MAX)` marks a reclaimed record; the same mapping is
-    /// pushed to the algorithm and the sink via their `on_bin_compact`
-    /// hooks before this returns.
+    /// pushed to the sink via `EventSink::on_bin_compact` before this
+    /// returns. Algorithms need no notice: the store renumbers its class
+    /// partitions itself, and no algorithm holds bin ids across calls.
     ///
     /// All engine state is rewritten consistently: the per-item assignment
     /// column (rows whose bin was reclaimed — departed or displaced rows —
@@ -808,7 +809,6 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
                 .checked_add(u32::try_from(dropped).expect("reclaimed bins exceed u32"))
                 .expect("fate offset overflows u32");
         }
-        self.algo.on_bin_compact(&old_to_new, new_len);
         self.sink.on_bin_compact(&old_to_new, &self.bins);
         old_to_new
     }
@@ -995,6 +995,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         self.departures.push(Reverse((at, item.0)));
         self.metrics.heap_pushes += 1;
         self.undated -= 1;
+        self.rebook_departures(self.assignment[idx]);
         Ok(())
     }
 
@@ -1085,8 +1086,12 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
                     Some(_) => b,
                 }
             }
-            Placement::OpenNew => {
-                let b = self.bins.open(self.now);
+            Placement::OpenNew | Placement::OpenIn(_) => {
+                let class = match placement {
+                    Placement::OpenIn(class) => Some(class),
+                    _ => None,
+                };
+                let b = self.bins.open_with(self.now, class);
                 // Seeded fault injection: a freshly-opened bin draws its
                 // fate here (a no-op match for the empty plan). The draw
                 // is keyed by the offset id so restored sessions continue
@@ -1106,8 +1111,10 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
                 b
             }
         };
-        let opened = matches!(placement, Placement::OpenNew);
+        let opened = !matches!(placement, Placement::Existing(_));
         self.bins.add(bin, id, size);
+        self.bins
+            .book_departure(bin, self.algo.planned_departure(&item));
         match via {
             PlacementPath::FastPath => self.metrics.fast_path_placements += 1,
             PlacementPath::Scan => self.metrics.scan_placements += 1,
@@ -1464,6 +1471,10 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         // target. Engine-level residency is unchanged.
         let closed = self.detach(from, m.item, size, at);
         self.bins.add(m.to, m.item, size);
+        self.bins.book_departure(m.to, self.items.departures[idx]);
+        if !closed {
+            self.rebook_departures(from);
+        }
         self.resident += 1;
         self.assignment[idx] = m.to;
         let load_after = self.bins.record(m.to).expect("target validated open").load;
@@ -1480,6 +1491,14 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             self.settle_close(from, at);
         }
         Ok(())
+    }
+
+    /// Recomputes a bin's latest resident departure from the departure
+    /// column, after a resident left early (migration) or was dated.
+    fn rebook_departures(&mut self, bin: BinId) {
+        let departures = &self.items.departures;
+        self.bins
+            .rebook_departures(bin, |item| departures[item.index()]);
     }
 
     fn record_open_count(&mut self) {

@@ -389,20 +389,24 @@ impl FitTree {
     }
 }
 
-/// A First-Fit index over a *subset* of bins (one HA type chain, one CDFF
-/// row, one CBD band): the per-class analogue of the store-wide tree.
+/// A First-Fit index over a *subset* of bins: one bin class's partition
+/// inside [`crate::bin_state::BinStore`] (one HA type chain or HA's GN
+/// bins, one CDFF row, one CBD band, one Harmonic size class).
 ///
-/// The owning algorithm mirrors engine state through `insert` / `place` /
-/// `free` / `remove` (driven by its `on_arrival` decisions and
-/// `on_departure` notifications), and queries `first_fit` in O(log k) where
-/// `k` is the number of bins the class ever held between compactions.
+/// The store keeps every partition in step with its own records — a bin
+/// joins its class's partition when it opens (`insert`), its remaining
+/// capacity is rewritten on every placement, departure and migration
+/// (`set_remaining_vec`), and it leaves when it closes (`remove`) — so a
+/// partition cannot drift from the bins it indexes. `first_fit` answers in
+/// O(log k), where `k` is the number of bins the class held since its last
+/// internal compaction.
 ///
 /// Slots are assigned in insertion order; inserting bins in ascending
-/// [`BinId`] order (every class opens its bins through sequentially
-/// allocated engine ids, so this holds naturally) makes the leftmost
-/// qualifying slot the earliest-opened bin — identical to the linear scan
-/// over the class's bin list. Removed slots are tombstoned in the tree and
-/// compacted away once they outnumber live bins.
+/// [`BinId`] order (bins join their partition as they open, and engine ids
+/// are allocated sequentially) makes the leftmost qualifying slot the
+/// earliest-opened bin — identical to the linear scan over the class's
+/// bin list. Removed slots are tombstoned in the tree and compacted away
+/// once they outnumber live bins.
 #[derive(Debug, Default, Clone)]
 pub struct SubsetFitTree {
     tree: FitTree,
@@ -453,53 +457,19 @@ impl SubsetFitTree {
         self.slot_of.insert(bin, slot);
     }
 
-    /// Adds a freshly opened bin holding exactly its `first` item — the
-    /// form every algorithm's open-new path takes. The per-dimension
-    /// remainder is `capacity − first`, so vector components are mirrored
-    /// without the caller touching raw plane arithmetic.
-    pub fn insert_fresh(&mut self, bin: BinId, first: impl Into<SizeVec>) {
-        let s = first.into();
-        self.tree.ensure_dims(s.dims_used());
-        self.insert(bin, SIZE_SCALE);
-        let slot = self.slot_of[&bin];
-        self.tree.set_remaining_vec(slot, &s.remaining());
-    }
-
-    /// Records an item of `size` placed into `bin`.
-    ///
-    /// # Panics
-    /// Panics if `bin` is not in the subset or `size` exceeds its tracked
-    /// remaining capacity in any dimension (the mirror would have diverged
-    /// from the engine).
-    pub fn place(&mut self, bin: BinId, size: impl Into<SizeVec>) {
-        let s = size.into();
-        self.tree.ensure_dims(s.dims_used());
-        let slot = self.slot_of[&bin];
-        let mut rem = self.tree.remaining_vec(slot).expect("live slot");
-        for (r, raw) in rem.iter_mut().zip(s.raws()) {
-            *r = r.checked_sub(raw).expect("subset mirror overfilled a bin");
-        }
-        self.tree.set_remaining_vec(slot, &rem);
-    }
-
-    /// Records an item of `size` departing from `bin` (which stays open).
+    /// Sets a member bin's remaining capacity, one component per
+    /// dimension, first materializing key planes up to `dims` dimensions
+    /// (see [`FitTree::ensure_dims`]).
     ///
     /// # Panics
     /// Panics if `bin` is not in the subset.
-    pub fn free(&mut self, bin: BinId, size: impl Into<SizeVec>) {
-        let s = size.into();
-        self.tree.ensure_dims(s.dims_used());
+    pub fn set_remaining_vec(&mut self, bin: BinId, remaining: &[u64; MAX_DIMS], dims: usize) {
+        self.tree.ensure_dims(dims);
         let slot = self.slot_of[&bin];
-        let mut rem = self.tree.remaining_vec(slot).expect("live slot");
-        for (r, raw) in rem.iter_mut().zip(s.raws()) {
-            *r += raw;
-        }
-        self.tree.set_remaining_vec(slot, &rem);
+        self.tree.set_remaining_vec(slot, remaining);
     }
 
-    /// Removes a bin (closed, or reclassified by the algorithm). Unknown
-    /// bins are ignored, mirroring the tolerant `Vec::retain` bookkeeping
-    /// this replaces.
+    /// Removes a bin. Unknown bins are ignored.
     pub fn remove(&mut self, bin: BinId) {
         let Some(slot) = self.slot_of.remove(&bin) else {
             return;
@@ -507,7 +477,7 @@ impl SubsetFitTree {
         self.tree.close(slot);
         // Compact once tombstones dominate: amortized O(1) per removal.
         if self.slot_of.len() * 2 < self.tree.len() && self.tree.len() > 64 {
-            self.compact();
+            self.rebuild(|bin| bin);
         }
     }
 
@@ -526,51 +496,29 @@ impl SubsetFitTree {
             .filter_map(move |slot| self.tree.remaining(slot).map(|rem| (self.bins[slot], rem)))
     }
 
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.tree = FitTree::new();
-        self.bins.clear();
-        self.slot_of.clear();
-    }
-
-    /// Renames every live bin after an engine bin-store compaction:
+    /// Renames every live bin after a bin-store compaction:
     /// `old_to_new[old.index()]` is the bin's new id (`BinId(u32::MAX)`
-    /// marks a dropped closed bin — a live subset member is never
-    /// dropped, since algorithms only keep open bins). The compaction
-    /// renumbering preserves opening order, so rebuilding in slot order
-    /// keeps insertion order ascending and first-fit answers unchanged.
+    /// marks a dropped closed bin — never a live member, since closing
+    /// removes a bin first). The renumbering preserves opening order, so
+    /// rebuilding in slot order keeps insertion order ascending and
+    /// first-fit answers unchanged.
     pub fn remap_bins(&mut self, old_to_new: &[BinId]) {
-        let nd = self.tree.dims();
-        let live: Vec<(BinId, [u64; MAX_DIMS])> = (0..self.tree.len())
-            .filter_map(|slot| {
-                self.tree.remaining_vec(slot).map(|rem| {
-                    let new = old_to_new[self.bins[slot].index()];
-                    debug_assert!(new != BinId(u32::MAX), "live bin dropped by compaction");
-                    (new, rem)
-                })
-            })
-            .collect();
-        let mut tree = FitTree::with_capacity(live.len());
-        tree.ensure_dims(nd);
-        let mut bins = Vec::with_capacity(live.len());
-        self.slot_of.clear();
-        for (bin, rem) in live {
-            let slot = tree.push(rem[0]);
-            tree.set_remaining_vec(slot, &rem);
-            bins.push(bin);
-            self.slot_of.insert(bin, slot);
-        }
-        self.tree = tree;
-        self.bins = bins;
+        self.rebuild(|old| {
+            let new = old_to_new[old.index()];
+            debug_assert!(new != BinId(u32::MAX), "live bin dropped by compaction");
+            new
+        });
     }
 
-    fn compact(&mut self) {
+    /// Rebuilds the tree over the live slots only, in slot order, naming
+    /// each bin `rename(bin)`.
+    fn rebuild(&mut self, rename: impl Fn(BinId) -> BinId) {
         let nd = self.tree.dims();
         let live: Vec<(BinId, [u64; MAX_DIMS])> = (0..self.tree.len())
             .filter_map(|slot| {
                 self.tree
                     .remaining_vec(slot)
-                    .map(|rem| (self.bins[slot], rem))
+                    .map(|rem| (rename(self.bins[slot]), rem))
             })
             .collect();
         let mut tree = FitTree::with_capacity(live.len());
@@ -695,16 +643,23 @@ mod tests {
         }
     }
 
+    /// Full capacity in every dimension but dimension 0.
+    fn rem0(r: u64) -> [u64; MAX_DIMS] {
+        let mut rem = [SIZE_SCALE; MAX_DIMS];
+        rem[0] = r;
+        rem
+    }
+
     #[test]
-    fn subset_tracks_place_free_remove() {
+    fn subset_tracks_updates_and_removals() {
         let mut s = SubsetFitTree::new();
         let half = Size::from_ratio(1, 2);
         s.insert(BinId(3), SIZE_SCALE);
         s.insert(BinId(7), SIZE_SCALE);
         assert_eq!(s.first_fit(half), Some(BinId(3)));
-        s.place(BinId(3), Size::from_ratio(2, 3));
+        s.set_remaining_vec(BinId(3), &rem0(SIZE_SCALE / 3), 1);
         assert_eq!(s.first_fit(half), Some(BinId(7)));
-        s.free(BinId(3), Size::from_ratio(2, 3));
+        s.set_remaining_vec(BinId(3), &rem0(SIZE_SCALE), 1);
         assert_eq!(s.first_fit(half), Some(BinId(3)));
         s.remove(BinId(3));
         assert_eq!(s.first_fit(half), Some(BinId(7)));
@@ -732,14 +687,6 @@ mod tests {
         }
         // Queries still answer the earliest live bin after compaction.
         assert_eq!(s.first_fit(Size::from_raw(185)), Some(BinId(185)));
-    }
-
-    #[test]
-    #[should_panic(expected = "overfilled")]
-    fn subset_place_overflow_panics() {
-        let mut s = SubsetFitTree::new();
-        s.insert(BinId(0), 10);
-        s.place(BinId(0), Size::from_raw(11));
     }
 
     fn vec2(a: u64, b: u64) -> SizeVec {
@@ -846,10 +793,17 @@ mod tests {
     }
 
     #[test]
-    fn subset_insert_fresh_tracks_vector_remainders_through_compaction() {
+    fn subset_tracks_vector_remainders_through_compaction() {
         let mut s = SubsetFitTree::new();
+        let rem = |a: u64, b: u64| {
+            let mut r = [SIZE_SCALE; MAX_DIMS];
+            r[0] = a;
+            r[1] = b;
+            r
+        };
         for i in 0..200u32 {
-            s.insert_fresh(BinId(i), vec2(SIZE_SCALE - u64::from(i), SIZE_SCALE / 2));
+            s.insert(BinId(i), SIZE_SCALE);
+            s.set_remaining_vec(BinId(i), &rem(u64::from(i), SIZE_SCALE / 2), 2);
         }
         for i in 0..180u32 {
             s.remove(BinId(i));
@@ -857,9 +811,9 @@ mod tests {
         // Remainders: dim0 = i, dim1 = SIZE_SCALE/2, surviving compaction.
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2)), Some(BinId(185)));
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2 + 1)), None);
-        s.free(BinId(185), vec2(0, SIZE_SCALE / 4));
+        s.set_remaining_vec(BinId(185), &rem(185, 3 * SIZE_SCALE / 4), 2);
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2 + 1)), Some(BinId(185)));
-        s.place(BinId(185), vec2(0, SIZE_SCALE / 4));
+        s.set_remaining_vec(BinId(185), &rem(185, SIZE_SCALE / 2), 2);
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2 + 1)), None);
     }
 }

@@ -58,7 +58,7 @@ pub mod trace;
 pub use algorithm::{OnlineAlgorithm, Placement, SimView};
 pub use assignment::{audit, AuditReport};
 pub use audit::{AuditViolation, InvariantAuditor};
-pub use bin_state::{BinId, BinRecord, BinStore};
+pub use bin_state::{BinClass, BinId, BinRecord, BinStore};
 pub use bounds::{BracketRung, BracketSource, CertifiedBracket, LowerBounds, OptBracket};
 pub use cost::Area;
 pub use engine::{

@@ -944,7 +944,7 @@ impl<A: OnlineAlgorithm> OnlineAlgorithm for TraceRecorder<A> {
         let placement = self.inner.on_arrival(view, item);
         let (bin, opened) = match placement {
             Placement::Existing(b) => (b, false),
-            Placement::OpenNew => (view.next_bin_id(), true),
+            Placement::OpenNew | Placement::OpenIn(_) => (view.next_bin_id(), true),
         };
         self.events.push(TraceEvent::Placed {
             item: item.id,

@@ -8,7 +8,7 @@
 use dbp_core::bin_state::{BinId, BinStore};
 use dbp_core::{
     engine, Dur, Instance, InstanceBuilder, Item, ItemId, OnlineAlgorithm, Placement, SimView,
-    Size, SubsetFitTree, Time, SIZE_SCALE,
+    Size, SubsetFitTree, Time, MAX_DIMS, SIZE_SCALE,
 };
 use proptest::prelude::*;
 
@@ -57,6 +57,13 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 
 /// A scripted churn op against a raw [`BinStore`]: `kind` selects
 /// arrival/departure, `a` sizes arrivals and picks departure victims.
+/// A remaining-capacity vector: `rem` in dimension 0, full elsewhere.
+fn remaining(rem: u64) -> [u64; MAX_DIMS] {
+    let mut v = [SIZE_SCALE; MAX_DIMS];
+    v[0] = rem;
+    v
+}
+
 fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
     prop::collection::vec((0u8..4, 0u64..=SIZE_SCALE), 1..=300)
 }
@@ -138,7 +145,7 @@ proptest! {
     }
 
     /// Subset-index differential: `SubsetFitTree` against a plain vector
-    /// of `(bin, remaining)` pairs under insert/place/free/remove churn.
+    /// of `(bin, remaining)` pairs under insert/fill/free/remove churn.
     #[test]
     fn subset_tree_matches_vec_oracle(ops in arb_ops()) {
         let mut tree = SubsetFitTree::new();
@@ -155,16 +162,14 @@ proptest! {
                 1 if !oracle.is_empty() => {
                     let idx = (a % oracle.len() as u64) as usize;
                     let (bin, rem) = oracle[idx];
-                    let size = Size::from_raw(a % (rem + 1));
-                    tree.place(bin, size);
-                    oracle[idx].1 -= size.raw();
+                    oracle[idx].1 -= a % (rem + 1);
+                    tree.set_remaining_vec(bin, &remaining(oracle[idx].1), 1);
                 }
                 2 if !oracle.is_empty() => {
                     let idx = (a % oracle.len() as u64) as usize;
                     let (bin, rem) = oracle[idx];
-                    let size = Size::from_raw(a % (SIZE_SCALE - rem + 1));
-                    tree.free(bin, size);
-                    oracle[idx].1 += size.raw();
+                    oracle[idx].1 += a % (SIZE_SCALE - rem + 1);
+                    tree.set_remaining_vec(bin, &remaining(oracle[idx].1), 1);
                 }
                 3 if !oracle.is_empty() => {
                     let idx = (a % oracle.len() as u64) as usize;

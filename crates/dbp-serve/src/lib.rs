@@ -24,10 +24,11 @@
 //!   bracket cache), so socket connections touching different tenants
 //!   never contend on one lock.
 //! - **Snapshot / restore** ([`snapshot`]): a session serializes to a few
-//!   JSONL lines (open bins with their original opening times, live
-//!   items, pending re-admissions, accumulated counters) and restores
-//!   into a warm engine whose *reported* cost and metrics continue
-//!   seamlessly.
+//!   JSONL lines (open bins with their original opening times and
+//!   classes, live items, pending re-admissions, accumulated counters)
+//!   and restores into a warm engine whose *reported* cost and metrics
+//!   continue seamlessly — or, for an algorithm with private decision
+//!   state, is refused with a typed error.
 //! - **Budgeted recourse** ([`session`]): a `--recourse` budget arms the
 //!   engine's migration epochs; voluntary `ItemMigrated` events stream
 //!   out like any other engine event, the ledger rides the telemetry and

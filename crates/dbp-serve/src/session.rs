@@ -393,7 +393,11 @@ impl EventSink for SessionSink {
             names[new.index()] = self.bin_ext(dbp_core::BinId(old as u32));
             origs[new.index()] = match self.bin_origs.get(old) {
                 Some(&t) => t,
-                None => bins.record(new).expect("surviving bin has a record").opened_at,
+                None => {
+                    bins.record(new)
+                        .expect("surviving bin has a record")
+                        .opened_at
+                }
             };
         }
         self.bin_names = names;

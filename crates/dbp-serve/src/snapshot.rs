@@ -42,22 +42,84 @@
 //! numbers and fresh bins continue the chain's count, so the stream a
 //! client sees across any number of restarts is byte-identical to the
 //! uninterrupted run's.
+//!
+//! A classed bin's `snap_bin` line carries its `class`, and restore
+//! reopens it in that class; unclassed bins' lines are unchanged. Since
+//! every bin's class and latest resident departure are engine state, a
+//! restore is exact for every algorithm whose decisions read only the
+//! engine. Algorithms with private decision state
+//! ([`dbp_algos::private_state`]) are refused with
+//! [`RestoreError::Unrestorable`] rather than resumed from a partial
+//! state.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use dbp_core::trace::{json_pairs, parse_raws_json, write_raws_json};
 use dbp_core::{
-    Area, BinId, InteractiveSim, ItemId, Placement, RecourseReport, ResilienceReport, RunMetrics,
-    SizeVec, Time,
+    Area, BinClass, BinId, InteractiveSim, ItemId, Placement, RecourseReport, ResilienceReport,
+    RunMetrics, SizeVec, Time,
 };
 
 use crate::session::{ServeAlgo, ServeConfig, Session, SessionSink};
 
 /// Format tag in the header line; bump on schema changes. `dbp2` added
 /// the recourse ledger to the header and the `snap_readmit` lines; `dbp3`
-/// added vector (multi-dimensional) sizes and per-bin `doom` carriage.
-const MAGIC: &str = "dbp3";
+/// added vector (multi-dimensional) sizes and per-bin `doom` carriage;
+/// `dbp4` added bin classes.
+const MAGIC: &str = "dbp4";
+
+/// Why a snapshot was not restored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The snapshot's algorithm keeps decision state outside the engine,
+    /// which no snapshot carries, so resuming it would not continue the
+    /// uninterrupted run.
+    Unrestorable {
+        /// Registry name of the algorithm.
+        algo: String,
+        /// The state the snapshot cannot carry.
+        state: &'static str,
+    },
+    /// The text is not a well-formed snapshot of this format.
+    Malformed(String),
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RestoreError::Unrestorable { algo, state } => write!(
+                f,
+                "snapshot: algorithm `{algo}` cannot be restored exactly ({state} is not in the snapshot)"
+            ),
+            RestoreError::Malformed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
+impl From<String> for RestoreError {
+    fn from(msg: String) -> RestoreError {
+        RestoreError::Malformed(msg)
+    }
+}
+
+impl From<&str> for RestoreError {
+    fn from(msg: &str) -> RestoreError {
+        RestoreError::Malformed(msg.to_string())
+    }
+}
+
+/// One `snap_bin` line: an open bin under its external id.
+struct SnapBin {
+    id: u32,
+    opened: Time,
+    orig: Time,
+    class: Option<BinClass>,
+    /// Pending crash, if the failure plan scheduled one.
+    doom: Option<Time>,
+}
 
 /// Serializes a session. The text round-trips through [`restore`].
 pub fn write_snapshot(session: &Session) -> String {
@@ -117,22 +179,18 @@ pub fn write_snapshot(session: &Session) -> String {
     for rec in engine.bins().all().iter().filter(|r| r.is_open()) {
         let orig = engine.sink().translate_opened_at(rec.id, rec.opened_at);
         let ext = engine.sink().bin_ext(rec.id);
-        match dooms.get(&rec.id.0) {
-            Some(doom) => {
-                let _ = writeln!(
-                    s,
-                    "{{\"snap_bin\":{ext},\"opened_at\":{},\"orig_opened\":{},\"doom\":{}}}",
-                    rec.opened_at.0, orig.0, doom.0
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    s,
-                    "{{\"snap_bin\":{ext},\"opened_at\":{},\"orig_opened\":{}}}",
-                    rec.opened_at.0, orig.0
-                );
-            }
+        let _ = write!(
+            s,
+            "{{\"snap_bin\":{ext},\"opened_at\":{},\"orig_opened\":{}",
+            rec.opened_at.0, orig.0
+        );
+        if let Some(class) = rec.class {
+            let _ = write!(s, ",\"class\":{}", class.0);
         }
+        if let Some(doom) = dooms.get(&rec.id.0) {
+            let _ = write!(s, ",\"doom\":{}", doom.0);
+        }
+        s.push_str("}\n");
         bins += 1;
     }
     // Items are grouped by bin, bins in id (= opening) order: restore
@@ -227,11 +285,11 @@ fn string(pairs: &[(&str, &str)], key: &str) -> Result<String, String> {
 
 /// Rebuilds a warm session from snapshot text. Session limits (window,
 /// slack, failure plan…) come from `cfg`; identity, clock, ids and
-/// totals come from the snapshot.
-pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
+/// totals come from the snapshot. A snapshot of an algorithm with private
+/// decision state is refused with [`RestoreError::Unrestorable`].
+pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, RestoreError> {
     let mut header: Option<Vec<(&str, &str)>> = None;
-    // (old id, opened, orig, pending doom)
-    let mut bin_lines: Vec<(u32, Time, Time, Option<Time>)> = Vec::new();
+    let mut bin_lines: Vec<SnapBin> = Vec::new();
     let mut item_lines: Vec<(u32, Option<Time>, SizeVec, u32)> = Vec::new(); // (ext, dep, size, old bin)
 
     // readmit tuple: (ext, arrival, displaced_at, at, attempt, departure, size)
@@ -248,20 +306,25 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
         if get(&pairs, "snap").is_some() {
             let magic = string(&pairs, "snap")?;
             if magic != MAGIC {
-                return Err(format!("snapshot: unsupported format `{magic}`"));
+                return Err(format!("snapshot: unsupported format `{magic}`").into());
+            }
+            let algo = string(&pairs, "algo")?;
+            if let Some(state) = dbp_algos::private_state(&algo) {
+                return Err(RestoreError::Unrestorable { algo, state });
             }
             header = Some(pairs);
         } else if get(&pairs, "snap_bin").is_some() {
-            let doom = match get(&pairs, "doom") {
-                Some(_) => Some(Time(num(&pairs, "doom")?)),
-                None => None,
+            let optional = |key| match get(&pairs, key) {
+                Some(_) => num(&pairs, key).map(Some),
+                None => Ok(None),
             };
-            bin_lines.push((
-                u32::try_from(num(&pairs, "snap_bin")?).map_err(|_| "bin id overflow")?,
-                Time(num(&pairs, "opened_at")?),
-                Time(num(&pairs, "orig_opened")?),
-                doom,
-            ));
+            bin_lines.push(SnapBin {
+                id: u32::try_from(num(&pairs, "snap_bin")?).map_err(|_| "bin id overflow")?,
+                opened: Time(num(&pairs, "opened_at")?),
+                orig: Time(num(&pairs, "orig_opened")?),
+                class: optional("class")?.map(BinClass),
+                doom: optional("doom")?.map(Time),
+            });
         } else if get(&pairs, "snap_item").is_some() {
             let dep = match get(&pairs, "dep") {
                 Some(_) => Some(Time(num(&pairs, "dep")?)),
@@ -288,36 +351,38 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
                 || num(&pairs, "items")? as usize != item_lines.len()
                 || num(&pairs, "readmits")? as usize != readmit_lines.len()
             {
-                return Err("snapshot: footer counts disagree with body".to_string());
+                return Err("snapshot: footer counts disagree with body".into());
             }
             sealed = true;
         } else {
-            return Err(format!("snapshot line {}: unrecognized line", lineno + 1));
+            return Err(format!("snapshot line {}: unrecognized line", lineno + 1).into());
         }
     }
     let header = header.ok_or("snapshot: no header line")?;
     if !sealed {
-        return Err("snapshot: truncated (no footer)".to_string());
+        return Err("snapshot: truncated (no footer)".into());
     }
     let tenant = string(&header, "tenant")?;
     let algo_name = string(&header, "algo")?;
     let now = Time(num(&header, "now")?);
     let next_ext = u32::try_from(num(&header, "next_ext")?).map_err(|_| "next_ext overflow")?;
 
-    // Placement script: each old bin's first item opens its successor;
-    // later items join it. Bin ids are assigned by the engine in open
-    // order, which is exactly first-appearance order here.
-    let opened_of_old: HashMap<u32, (Time, Time)> = bin_lines
-        .iter()
-        .map(|&(id, opened, orig, _)| (id, (opened, orig)))
-        .collect();
+    // Placement script: each old bin's first item opens its successor in
+    // the same class; later items join it. Bin ids are assigned by the
+    // engine in open order, which is exactly first-appearance order here.
+    let bin_of_old: HashMap<u32, &SnapBin> = bin_lines.iter().map(|b| (b.id, b)).collect();
     let mut new_of_old: HashMap<u32, u32> = HashMap::new();
     let mut script = VecDeque::with_capacity(item_lines.len());
     let mut orig_opened = HashMap::new();
     let mut corrections = Area::ZERO;
     let mut exts = VecDeque::with_capacity(item_lines.len());
     for &(ext, dep, _, old_bin) in &item_lines {
-        let &(opened, orig) = opened_of_old
+        let &&SnapBin {
+            opened,
+            orig,
+            class,
+            ..
+        } = bin_of_old
             .get(&old_bin)
             .ok_or_else(|| format!("snapshot: item {ext} names unknown bin {old_bin}"))?;
         match new_of_old.get(&old_bin) {
@@ -325,7 +390,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
             None => {
                 let new = new_of_old.len() as u32;
                 new_of_old.insert(old_bin, new);
-                script.push_back(Placement::OpenNew);
+                script.push_back(class.map_or(Placement::OpenNew, Placement::OpenIn));
                 orig_opened.insert(BinId(new), orig);
                 // The span this engine instance will not bill: from the
                 // previous instance's opening to the snapshot clock.
@@ -334,13 +399,13 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
         }
         if let Some(dep) = dep {
             if dep <= now {
-                return Err(format!("snapshot: item {ext} is not live (dep {})", dep.0));
+                return Err(format!("snapshot: item {ext} is not live (dep {})", dep.0).into());
             }
         }
         exts.push_back(ext);
     }
     if new_of_old.len() != bin_lines.len() {
-        return Err("snapshot: open bin without resident items".to_string());
+        return Err("snapshot: open bin without resident items".into());
     }
 
     let inner = dbp_algos::by_name(&algo_name)
@@ -384,7 +449,8 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
         if !(arrival < displaced_at && displaced_at <= now && now <= at && at < departure) {
             return Err(format!(
                 "snapshot: readmit {ext} times are not arrival < displaced ≤ now ≤ retry < departure"
-            ));
+            )
+            .into());
         }
         let row =
             engine.restore_pending_readmission(arrival, displaced_at, at, attempt, departure, size);
@@ -395,10 +461,10 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
     // recorded dooms (translated old id → new id), and offset future
     // fate draws past the ids the uninterrupted run has already used.
     engine.clear_crash_schedule();
-    for &(old_id, _, _, doom) in &bin_lines {
-        if let Some(at) = doom {
+    for bin in &bin_lines {
+        if let Some(at) = bin.doom {
             let new = new_of_old
-                .get(&old_id)
+                .get(&bin.id)
                 .copied()
                 .expect("every snapshot bin was reopened by the replay");
             engine.schedule_crash(BinId(new), at);
@@ -470,7 +536,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
         epochs: num(&header, "epochs")?,
     };
     if num(&header, "pending_readmits")? as usize != readmit_lines.len() {
-        return Err("snapshot: header pending_readmits disagrees with body".to_string());
+        return Err("snapshot: header pending_readmits disagrees with body".into());
     }
     Ok(session)
 }

@@ -9,7 +9,8 @@
 //!    unwrapped base. The engine's `None` short-circuit plus the wrappers'
 //!    pass-through forwarding make this hold by construction; the battery
 //!    re-proves it empirically against every algorithm.
-//! 2. **Consolidation never hurts** — under `unlimited` budget the
+//! 2. **Consolidation never hurts** — under `unlimited` budget `rod:X`
+//!    and `amortized:X` run audited for every registry base X, and the
 //!    `rod:first-fit` consolidator's cost is ≤ plain First-Fit's on every
 //!    instance. This is the clairvoyant safety rule doing its job: an item
 //!    only moves into a bin that already outlives it, so a migration can
@@ -83,29 +84,44 @@ proptest! {
 
     /// Property 2: unlimited-budget consolidation is never worse than the
     /// base — and the whole run passes the auditor with the budget
-    /// replayed from the event stream.
+    /// replayed from the event stream. Both wrappers run over *every*
+    /// registry base, so migrations must never leave a base algorithm
+    /// deciding on stale bin state.
     #[test]
     fn unlimited_consolidation_never_costs_more(inst in arb_instance(60)) {
-        let base = engine::run(&inst, algos::by_name("first-fit").expect("registry"))
-            .expect("legal run");
-        let mut auditor = InvariantAuditor::new();
-        auditor.expect_budget(RecourseBudget::Unlimited);
-        let res = engine::run_with_recourse(
-            &inst,
-            algos::by_name("rod:first-fit").expect("registry"),
-            RecourseBudget::Unlimited,
-            &mut auditor,
-        )
-        .expect("legal run");
-        if let Err(v) = auditor.verify_result(&res) {
-            return Err(TestCaseError::fail(format!("audit: {v}")));
+        for base in algos::registry_names() {
+            if base.starts_with("rod:") || base.starts_with("amortized:") {
+                continue;
+            }
+            for prefix in ["rod:", "amortized:"] {
+                let wrapped = format!("{prefix}{base}");
+                let mut auditor = InvariantAuditor::new();
+                auditor.expect_budget(RecourseBudget::Unlimited);
+                let res = engine::run_with_recourse(
+                    &inst,
+                    algos::by_name(&wrapped).expect("wrappers resolve recursively"),
+                    RecourseBudget::Unlimited,
+                    &mut auditor,
+                );
+                let res = match res {
+                    Ok(res) => res,
+                    Err(e) => return Err(TestCaseError::fail(format!("{wrapped}: {e}"))),
+                };
+                if let Err(v) = auditor.verify_result(&res) {
+                    return Err(TestCaseError::fail(format!("{wrapped} audit: {v}")));
+                }
+                if wrapped == "rod:first-fit" {
+                    let plain = engine::run(&inst, algos::by_name(base).expect("registry"))
+                        .expect("legal run");
+                    prop_assert!(
+                        res.cost <= plain.cost,
+                        "consolidation raised the cost: {} > {}",
+                        res.cost,
+                        plain.cost
+                    );
+                }
+            }
         }
-        prop_assert!(
-            res.cost <= base.cost,
-            "consolidation raised the cost: {} > {}",
-            res.cost,
-            base.cost
-        );
     }
 
     /// Property 3: `ItemMigrated` survives the JSONL codec exactly.
