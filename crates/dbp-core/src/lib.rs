@@ -82,7 +82,7 @@ pub use reduction::{reduce, reduced_departure};
 pub use size::{Load, LoadVec, Size, SizeVec, MAX_DIMS, SIZE_SCALE};
 pub use time::{Dur, Time};
 pub use trace::{
-    event_from_json, event_to_json, json_pairs, parse_jsonl, write_event_json, EngineEvent,
-    EventSink, JsonlSink, NoopSink, PlacementPath, TraceEvent, TraceParseError, TraceRecorder,
-    VecSink,
+    event_from_json, event_from_pairs, event_to_json, json_pairs, parse_jsonl, write_event_json,
+    EngineEvent, EventSink, JsonlSink, NoopSink, PlacementPath, TraceEvent, TraceParseError,
+    TraceRecorder, VecSink,
 };

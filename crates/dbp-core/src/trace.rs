@@ -611,36 +611,41 @@ fn bad(message: impl Into<String>) -> TraceParseError {
 /// keys are rejected: this codec is a wire format, and a line whose
 /// meaning depends on which copy of a key wins must not parse.
 ///
-/// Public so protocol layers (the serve daemon) can peel envelope keys
-/// (`tenant`, `op`) off a line before handing the rest to
-/// [`event_from_json`], without duplicating this fuzz-hardened splitter.
+/// The result is the line's only allocation on the decode path: a scan
+/// over the bytes checks bracket balance first (so a structural error
+/// wins over a malformed pair, wherever each sits), then one split fills
+/// the pairs. Public so protocol layers (the serve daemon) can peel
+/// envelope keys (`tenant`, `op`) off the same pairs they then hand to
+/// [`event_from_pairs`], without duplicating this fuzz-hardened splitter.
 pub fn json_pairs(s: &str) -> Result<Vec<(&str, &str)>, TraceParseError> {
     let s = s.trim();
     let inner = s
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
         .ok_or_else(|| bad("expected a {...} object"))?;
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    // Split on commas at bracket depth 0 only, so array values
-    // (`"size":[1,2]`) stay one token. Deeper nesting is out of grammar.
     let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut parts: Vec<&str> = Vec::new();
-    for (i, b) in inner.bytes().enumerate() {
+    for b in inner.bytes() {
         match b {
             b'[' => depth += 1,
             b']' => depth = depth.checked_sub(1).ok_or_else(|| bad("unbalanced `]`"))?,
-            b',' if depth == 0 => {
-                parts.push(&inner[start..i]);
-                start = i + 1;
-            }
             _ => {}
         }
     }
     if depth != 0 {
         return Err(bad("unbalanced `[`"));
     }
-    parts.push(&inner[start..]);
+    // Split on commas at bracket depth 0 only, so array values
+    // (`"size":[1,2]`) stay one token. Deeper nesting is out of grammar.
+    let parts = inner.split(move |c| {
+        match c {
+            '[' => depth += 1,
+            ']' => depth -= 1,
+            ',' => return depth == 0,
+            _ => {}
+        }
+        false
+    });
+    let mut pairs: Vec<(&str, &str)> = Vec::with_capacity(8);
     for part in parts {
         let part = part.trim();
         if part.is_empty() {
@@ -684,140 +689,166 @@ fn num_u32(pairs: &[(&str, &str)], key: &str) -> Result<u32, TraceParseError> {
     u32::try_from(v).map_err(|_| bad(format!("field `{key}`: `{v}` exceeds u32 range")))
 }
 
-/// Parses a scalar-or-array wire value (`7` or `[7,3]`) into its raw
-/// components. Public for the serve daemon's snapshot codec, which encodes
-/// sizes with the same convention (see [`write_raws_json`]).
-pub fn parse_raws_json(v: &str, key: &str) -> Result<Vec<u64>, TraceParseError> {
-    let components: Vec<&str> = match v.strip_prefix('[') {
+/// Parses each component of a scalar-or-array wire value (`7` or
+/// `[7,3]`) in order, handing it to `each`; the first malformed
+/// component is the error.
+fn for_each_raw(v: &str, key: &str, mut each: impl FnMut(u64)) -> Result<(), TraceParseError> {
+    let (body, array) = match v.strip_prefix('[') {
         Some(body) => {
             let body = body
                 .strip_suffix(']')
                 .ok_or_else(|| bad(format!("field `{key}`: unterminated array `{v}`")))?;
-            body.split(',').collect()
+            (body, true)
         }
-        None => vec![v],
+        None => (v, false),
     };
-    components
-        .iter()
-        .map(|c| {
-            let c = c.trim();
+    for c in body.split(|ch| array && ch == ',') {
+        let c = c.trim();
+        each(
             c.parse::<u64>()
-                .map_err(|_| bad(format!("field `{key}`: `{c}` is not an unsigned integer")))
-        })
-        .collect()
+                .map_err(|_| bad(format!("field `{key}`: `{c}` is not an unsigned integer")))?,
+        );
+    }
+    Ok(())
+}
+
+/// Parses a scalar-or-array wire value (`7` or `[7,3]`) into its raw
+/// components. Public for the serve daemon's snapshot codec, which encodes
+/// sizes with the same convention (see [`write_raws_json`]).
+pub fn parse_raws_json(v: &str, key: &str) -> Result<Vec<u64>, TraceParseError> {
+    let mut raws = Vec::new();
+    for_each_raw(v, key, |r| raws.push(r))?;
+    Ok(raws)
+}
+
+/// A vector field's components, without allocating: the first
+/// [`MAX_DIMS`] land in the array, and every component is parsed before
+/// the arity check (`what` names the vector in its error).
+fn raws_field(
+    pairs: &[(&str, &str)],
+    key: &str,
+    what: &str,
+) -> Result<([u64; MAX_DIMS], usize), TraceParseError> {
+    let v = field(pairs, key)?;
+    let mut raws = [0u64; MAX_DIMS];
+    let mut n = 0usize;
+    for_each_raw(v, key, |r| {
+        if let Some(slot) = raws.get_mut(n) {
+            *slot = r;
+        }
+        n += 1;
+    })?;
+    if n == 0 || n > MAX_DIMS {
+        return Err(bad(format!(
+            "field `{key}`: `{v}` is not a {what} vector of 1..={MAX_DIMS} components"
+        )));
+    }
+    Ok((raws, n))
 }
 
 /// A `size` field: raw fixed-point units bounded by bin capacity, either a
 /// bare scalar (dimension 0) or a `[..]` array of up to [`MAX_DIMS`]
 /// per-dimension components.
 fn size_field(pairs: &[(&str, &str)], key: &str) -> Result<SizeVec, TraceParseError> {
-    let v = field(pairs, key)?;
-    let raws = parse_raws_json(v, key)?;
-    if raws.is_empty() || raws.len() > MAX_DIMS {
-        return Err(bad(format!(
-            "field `{key}`: `{v}` is not a size vector of 1..={MAX_DIMS} components"
-        )));
-    }
-    if let Some(&r) = raws.iter().find(|&&r| r > SIZE_SCALE) {
+    let (raws, n) = raws_field(pairs, key, "size")?;
+    if let Some(&r) = raws[..n].iter().find(|&&r| r > SIZE_SCALE) {
         return Err(bad(format!(
             "field `{key}`: component {r} exceeds bin capacity ({SIZE_SCALE})"
         )));
     }
-    Ok(SizeVec::try_from_raws(&raws).expect("arity and range validated above"))
+    Ok(SizeVec::try_from_raws(&raws[..n]).expect("arity and range validated above"))
 }
 
 /// A `load` field: like `size` but unbounded per component (loads are
 /// engine-reported sums, validated by the auditor rather than the codec —
 /// matching the scalar codec's behaviour).
 fn load_field(pairs: &[(&str, &str)], key: &str) -> Result<LoadVec, TraceParseError> {
-    let v = field(pairs, key)?;
-    let raws = parse_raws_json(v, key)?;
-    if raws.is_empty() || raws.len() > MAX_DIMS {
-        return Err(bad(format!(
-            "field `{key}`: `{v}` is not a load vector of 1..={MAX_DIMS} components"
-        )));
-    }
-    let mut arr = [0u64; MAX_DIMS];
-    arr[..raws.len()].copy_from_slice(&raws);
-    Ok(LoadVec::from_raws(arr))
+    let (raws, _) = raws_field(pairs, key, "load")?;
+    Ok(LoadVec::from_raws(raws))
 }
 
 /// Parses one JSON line back into an [`EngineEvent`] (inverse of
 /// [`event_to_json`]).
 pub fn event_from_json(line: &str) -> Result<EngineEvent, TraceParseError> {
-    let pairs = json_pairs(line)?;
-    let kind = field(&pairs, "e")?;
+    event_from_pairs(&json_pairs(line)?)
+}
+
+/// Decodes an event from a line's [`json_pairs`]. Keys the event kind
+/// does not use are ignored, which lets a protocol layer keep its own
+/// envelope keys in the same pairs.
+pub fn event_from_pairs(pairs: &[(&str, &str)]) -> Result<EngineEvent, TraceParseError> {
+    let kind = field(pairs, "e")?;
     match kind {
         "\"arrival\"" => Ok(EngineEvent::Arrival {
-            item: ItemId(num_u32(&pairs, "item")?),
-            at: Time(num(&pairs, "t")?),
-            size: size_field(&pairs, "size")?,
+            item: ItemId(num_u32(pairs, "item")?),
+            at: Time(num(pairs, "t")?),
+            size: size_field(pairs, "size")?,
             departure: match pairs.iter().find(|(k, _)| *k == "dep") {
-                Some(_) => Some(Time(num(&pairs, "dep")?)),
+                Some(_) => Some(Time(num(pairs, "dep")?)),
                 None => None,
             },
         }),
         "\"placed\"" => Ok(EngineEvent::Placed {
-            item: ItemId(num_u32(&pairs, "item")?),
-            at: Time(num(&pairs, "t")?),
-            bin: BinId(num_u32(&pairs, "bin")?),
-            opened: match field(&pairs, "opened")? {
+            item: ItemId(num_u32(pairs, "item")?),
+            at: Time(num(pairs, "t")?),
+            bin: BinId(num_u32(pairs, "bin")?),
+            opened: match field(pairs, "opened")? {
                 "true" => true,
                 "false" => false,
                 other => return Err(bad(format!("field `opened`: `{other}` is not a bool"))),
             },
-            via: match field(&pairs, "via")? {
+            via: match field(pairs, "via")? {
                 "\"fast\"" => PlacementPath::FastPath,
                 "\"scan\"" => PlacementPath::Scan,
                 other => return Err(bad(format!("field `via`: unknown path `{other}`"))),
             },
-            load_after: load_field(&pairs, "load")?,
+            load_after: load_field(pairs, "load")?,
         }),
         "\"bin_opened\"" => Ok(EngineEvent::BinOpened {
-            bin: BinId(num_u32(&pairs, "bin")?),
-            at: Time(num(&pairs, "t")?),
+            bin: BinId(num_u32(pairs, "bin")?),
+            at: Time(num(pairs, "t")?),
         }),
         "\"departure\"" => Ok(EngineEvent::Departure {
-            item: ItemId(num_u32(&pairs, "item")?),
-            at: Time(num(&pairs, "t")?),
-            bin: BinId(num_u32(&pairs, "bin")?),
-            size: size_field(&pairs, "size")?,
+            item: ItemId(num_u32(pairs, "item")?),
+            at: Time(num(pairs, "t")?),
+            bin: BinId(num_u32(pairs, "bin")?),
+            size: size_field(pairs, "size")?,
         }),
         "\"bin_closed\"" => Ok(EngineEvent::BinClosed {
-            bin: BinId(num_u32(&pairs, "bin")?),
-            at: Time(num(&pairs, "t")?),
-            opened_at: Time(num(&pairs, "opened_at")?),
+            bin: BinId(num_u32(pairs, "bin")?),
+            at: Time(num(pairs, "t")?),
+            opened_at: Time(num(pairs, "opened_at")?),
         }),
         "\"bin_failed\"" => Ok(EngineEvent::BinFailed {
-            bin: BinId(num_u32(&pairs, "bin")?),
-            at: Time(num(&pairs, "t")?),
-            opened_at: Time(num(&pairs, "opened_at")?),
+            bin: BinId(num_u32(pairs, "bin")?),
+            at: Time(num(pairs, "t")?),
+            opened_at: Time(num(pairs, "opened_at")?),
         }),
         "\"displaced\"" => Ok(EngineEvent::ItemDisplaced {
-            item: ItemId(num_u32(&pairs, "item")?),
-            at: Time(num(&pairs, "t")?),
-            bin: BinId(num_u32(&pairs, "bin")?),
-            size: size_field(&pairs, "size")?,
+            item: ItemId(num_u32(pairs, "item")?),
+            at: Time(num(pairs, "t")?),
+            bin: BinId(num_u32(pairs, "bin")?),
+            size: size_field(pairs, "size")?,
         }),
         "\"readmitted\"" => Ok(EngineEvent::ItemReadmitted {
-            item: ItemId(num_u32(&pairs, "item")?),
-            original: ItemId(num_u32(&pairs, "orig")?),
-            at: Time(num(&pairs, "t")?),
-            size: size_field(&pairs, "size")?,
-            departure: Time(num(&pairs, "dep")?),
-            attempt: num_u32(&pairs, "attempt")?,
+            item: ItemId(num_u32(pairs, "item")?),
+            original: ItemId(num_u32(pairs, "orig")?),
+            at: Time(num(pairs, "t")?),
+            size: size_field(pairs, "size")?,
+            departure: Time(num(pairs, "dep")?),
+            attempt: num_u32(pairs, "attempt")?,
         }),
         "\"migrated\"" => Ok(EngineEvent::ItemMigrated {
-            item: ItemId(num_u32(&pairs, "item")?),
-            at: Time(num(&pairs, "t")?),
-            from: BinId(num_u32(&pairs, "from")?),
-            to: BinId(num_u32(&pairs, "to")?),
-            size: size_field(&pairs, "size")?,
-            load_after: load_field(&pairs, "load")?,
+            item: ItemId(num_u32(pairs, "item")?),
+            at: Time(num(pairs, "t")?),
+            from: BinId(num_u32(pairs, "from")?),
+            to: BinId(num_u32(pairs, "to")?),
+            size: size_field(pairs, "size")?,
+            load_after: load_field(pairs, "load")?,
         }),
         "\"clock\"" => Ok(EngineEvent::ClockAdvanced {
-            from: Time(num(&pairs, "from")?),
-            to: Time(num(&pairs, "to")?),
+            from: Time(num(pairs, "from")?),
+            to: Time(num(pairs, "to")?),
         }),
         other => Err(bad(format!("unknown event kind {other}"))),
     }

@@ -25,6 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dbp_core::{Dur, FailurePlan, RecourseBudget, RetryPolicy};
+use dbp_serve::protocol::push_json_str;
 use dbp_serve::{parse_request, snapshot, Request, ServeConfig, SessionMap};
 
 fn usage() -> ! {
@@ -114,39 +115,42 @@ fn parse_flags(args: &[String]) -> Flags {
     }
 }
 
-/// Routes one request line; rendered responses go to `out`.
-fn route(map: &SessionMap, line: &str, out: &mut impl Write) -> io::Result<()> {
+/// Capacity a connection's reused line and output buffers shrink back to
+/// after each request, so one huge line or one snapshot response does not
+/// pin memory in the connection or in the sessions the buffers rotate
+/// through.
+const REUSED_BUF_BYTES: usize = 4096;
+
+/// Appends a daemon-level `{"r":"error"}` line (a request that reached no
+/// session) to `out`.
+fn push_error(out: &mut String, msg: &str) {
+    out.push_str("{\"r\":\"error\",\"msg\":\"");
+    push_json_str(out, msg);
+    out.push_str("\"}\n");
+}
+
+/// Routes one request line, appending its rendered responses to `out`.
+/// The session lock is released before the caller writes them.
+fn route(map: &SessionMap, line: &str, out: &mut String) {
     if line.trim().is_empty() {
-        return Ok(());
+        return;
     }
     let req = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => {
-            let msg: String = e
-                .to_string()
-                .chars()
-                .map(|c| if c == '"' || c == '\\' { '\'' } else { c })
-                .collect();
-            return out.write_all(format!("{{\"r\":\"error\",\"msg\":\"{msg}\"}}\n").as_bytes());
-        }
+        Err(e) => return push_error(out, &e.to_string()),
     };
     let tenant = match &req {
         Request::Event { tenant, .. } | Request::Control { tenant, .. } => {
-            tenant.as_deref().unwrap_or("default").to_string()
+            tenant.as_deref().unwrap_or("default")
         }
     };
-    let session = match map.session(&tenant) {
+    let session = match map.session(tenant) {
         Ok(s) => s,
-        Err(e) => {
-            return out.write_all(format!("{{\"r\":\"error\",\"msg\":\"{e}\"}}\n").as_bytes());
-        }
+        Err(e) => return push_error(out, &e),
     };
-    let rendered = {
-        let mut s = session.lock().expect("session lock poisoned");
-        s.handle(&req);
-        s.take_output()
-    };
-    out.write_all(rendered.as_bytes())
+    let mut s = session.lock().expect("session lock poisoned");
+    s.handle(&req);
+    s.swap_output(out);
 }
 
 /// Feeds a whole byte stream of request lines through the router.
@@ -158,13 +162,28 @@ fn serve_reader(
     out: &mut impl Write,
     flush_each: bool,
 ) -> io::Result<()> {
-    for line in BufReader::new(input).lines() {
-        route(map, &line?, out)?;
+    let mut reader = BufReader::new(input);
+    let mut line = String::new();
+    let mut rendered = String::new();
+    loop {
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(());
+        }
+        // The line ending `BufRead::lines` strips: `\n`, or `\r\n`.
+        let text = match line.strip_suffix('\n') {
+            Some(t) => t.strip_suffix('\r').unwrap_or(t),
+            None => &line,
+        };
+        route(map, text, &mut rendered);
+        out.write_all(rendered.as_bytes())?;
         if flush_each {
             out.flush()?;
         }
+        for buf in [&mut line, &mut rendered] {
+            buf.clear();
+            buf.shrink_to(REUSED_BUF_BYTES);
+        }
     }
-    Ok(())
 }
 
 /// Drains every session (final departures + telemetry) and optionally

@@ -1,7 +1,8 @@
 //! Request grammar: the engine's trace codec plus a thin envelope.
 //!
-//! A request line is a flat JSON object. Two envelope keys are peeled off
-//! before the rest of the line is handed to [`event_from_json`]:
+//! A request line is a flat JSON object, split once by [`json_pairs`].
+//! Two envelope keys are peeled off those pairs, and the same pairs are
+//! then decoded by [`event_from_pairs`], which ignores the envelope:
 //!
 //! - `"tenant":"NAME"` — routes the line to one session. Tenant names are
 //!   restricted to `[A-Za-z0-9_.-]`, 1–64 chars, so they can never
@@ -15,8 +16,12 @@
 //! are ignored on input — that is what lets a recorded trace be replayed
 //! verbatim: the daemon regenerates those lines itself and the echo must
 //! match the recording.
+//!
+//! Responses quote free text (error messages) through [`push_json_str`].
 
-use dbp_core::trace::{event_from_json, json_pairs};
+use std::fmt::Write as _;
+
+use dbp_core::trace::{event_from_pairs, json_pairs};
 use dbp_core::{EngineEvent, TraceParseError};
 
 /// A control verb from an `"op"` line.
@@ -76,14 +81,13 @@ fn tenant_name(raw: &str) -> Result<String, TraceParseError> {
     Ok(inner.to_string())
 }
 
-/// Parses one request line. Envelope keys are peeled off; the remainder
-/// must be a control verb or a codec event.
+/// Parses one request line. Envelope keys are peeled off the line's
+/// pairs; the remainder must be a control verb or a codec event.
 pub fn parse_request(line: &str) -> Result<Request, TraceParseError> {
     let pairs = json_pairs(line)?;
     let mut tenant = None;
     let mut op = None;
-    let mut rest = String::with_capacity(line.len());
-    rest.push('{');
+    let mut event_keys = 0usize;
     for &(k, v) in &pairs {
         match k {
             "tenant" => tenant = Some(tenant_name(v)?),
@@ -100,28 +104,37 @@ pub fn parse_request(line: &str) -> Result<Request, TraceParseError> {
                     }
                 })
             }
-            _ => {
-                if rest.len() > 1 {
-                    rest.push(',');
-                }
-                rest.push('"');
-                rest.push_str(k);
-                rest.push_str("\":");
-                rest.push_str(v);
-            }
+            _ => event_keys += 1,
         }
     }
     if let Some(op) = op {
-        if rest.len() > 1 {
+        if event_keys > 0 {
             return Err(bad("op lines take no event fields".to_string()));
         }
         return Ok(Request::Control { tenant, op });
     }
-    rest.push('}');
     Ok(Request::Event {
         tenant,
-        event: event_from_json(&rest)?,
+        event: event_from_pairs(&pairs)?,
     })
+}
+
+/// Appends `text` as the body of a JSON string — the one escaper every
+/// daemon response uses for free text. `"` and `\` become `'` (messages
+/// quote input, and this keeps them readable), and control characters
+/// U+0000–U+001F become `\u00XX`, so a hostile byte echoed from a request
+/// still leaves a valid JSON line.
+pub fn push_json_str(out: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '"' | '\\' => out.push('\''),
+            // Writing to a String cannot fail.
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +199,13 @@ mod tests {
         );
         assert!(parse_request("{\"op\":\"metrics\",\"t\":3}").is_err());
         assert!(parse_request("{\"op\":\"reboot\"}").is_err());
+    }
+
+    #[test]
+    fn response_text_is_escaped_for_json() {
+        let mut out = String::new();
+        push_json_str(&mut out, "a\"b\\c\u{0}\u{1f}\tz é\u{7f}");
+        assert_eq!(out, "a'b'c\\u0000\\u001f\\u0009z é\u{7f}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use dbp_core::{
     RecourseView, ResilienceReport, RetryPolicy, RunMetrics, SimView,
 };
 
-use crate::protocol::{Op, Request};
+use crate::protocol::{push_json_str, Op, Request};
 
 /// Daemon-wide session parameters (every tenant gets the same ones).
 #[derive(Debug, Clone)]
@@ -485,6 +485,16 @@ impl Session {
         std::mem::take(&mut self.engine.sink_mut().out)
     }
 
+    /// Takes everything the session has rendered since the last call,
+    /// like [`Session::take_output`], by swapping it with `buf`. `buf` is
+    /// cleared first and becomes the session's next output buffer, so a
+    /// caller that hands back the buffer it was given last time reuses
+    /// one allocation instead of growing a new one per request.
+    pub fn swap_output(&mut self, buf: &mut String) {
+        buf.clear();
+        std::mem::swap(&mut self.engine.sink_mut().out, buf);
+    }
+
     /// The tenant this session serves.
     pub fn tenant(&self) -> &str {
         &self.tenant
@@ -523,15 +533,12 @@ impl Session {
     }
 
     fn error(&mut self, msg: &str) {
-        let clean: String = msg
-            .chars()
-            .map(|c| if c == '"' || c == '\\' { '\'' } else { c })
-            .collect();
-        let line = format!(
-            "{{\"r\":\"error\",\"tenant\":\"{}\",\"msg\":\"{clean}\"}}\n",
-            self.tenant
-        );
-        self.push_response(&line);
+        let out = &mut self.engine.sink_mut().out;
+        out.push_str("{\"r\":\"error\",\"tenant\":\"");
+        out.push_str(&self.tenant);
+        out.push_str("\",\"msg\":\"");
+        push_json_str(out, msg);
+        out.push_str("\"}\n");
     }
 
     /// Handles one parsed request, appending every response to the
