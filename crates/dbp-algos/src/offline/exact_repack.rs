@@ -18,7 +18,6 @@
 use dbp_core::cost::Area;
 use dbp_core::instance::Instance;
 use dbp_core::size::SIZE_SCALE;
-use dbp_core::time::Time;
 
 use super::budget::RefineBudget;
 
@@ -82,14 +81,20 @@ pub fn exact_bin_count_budgeted(sizes: &[u64], budget: &mut RefineBudget) -> Bud
         };
     }
 
+    let mut suffix = vec![0u64; sorted.len() + 1];
+    for i in (0..sorted.len()).rev() {
+        suffix[i] = suffix[i + 1] + sorted[i];
+    }
     let mut search = BpSearch {
         sizes: sorted,
+        suffix,
+        bins: [0; MAX_EXACT_ITEMS],
+        open: 0,
         best: ub,
         budget,
         aborted: false,
     };
-    let mut bins: Vec<u64> = Vec::new();
-    search.recurse(0, &mut bins, lb);
+    search.recurse(0, lb);
     BudgetedCount {
         bins: search.best,
         complete: !search.aborted,
@@ -143,15 +148,25 @@ fn lower_bound(sorted: &[u64]) -> u64 {
     best.max(1)
 }
 
+/// The search state. Nodes allocate nothing: open bins live in a fixed
+/// array, the remaining volume is a suffix sum, and the free space follows
+/// from it (items `..idx` fill the open bins exactly). Sums stay exact in
+/// `u64`: at most [`MAX_EXACT_ITEMS`] sizes of at most `SIZE_SCALE` each.
 struct BpSearch<'b> {
     sizes: Vec<u64>,
+    /// `suffix[i]` = Σ `sizes[i..]`.
+    suffix: Vec<u64>,
+    bins: [u64; MAX_EXACT_ITEMS],
+    open: usize,
     best: u64,
     budget: &'b mut RefineBudget,
     aborted: bool,
 }
 
 impl BpSearch<'_> {
-    fn recurse(&mut self, idx: usize, bins: &mut Vec<u64>, lb: u64) {
+    /// One search node, charged exactly once: node counts, incumbents and
+    /// aborts depend only on the bounds and the branch order below.
+    fn recurse(&mut self, idx: usize, lb: u64) {
         if self.aborted {
             return;
         }
@@ -159,19 +174,20 @@ impl BpSearch<'_> {
             self.aborted = true;
             return;
         }
-        if bins.len() as u64 >= self.best {
+        let open = self.open;
+        if open as u64 >= self.best {
             return;
         }
         if idx == self.sizes.len() {
-            self.best = bins.len() as u64;
+            self.best = open as u64;
             return;
         }
         // Remaining-volume refinement: current bins' free space may absorb
         // some of the remaining volume; anything left needs new bins.
-        let remaining: u128 = self.sizes[idx..].iter().map(|&s| s as u128).sum();
-        let free: u128 = bins.iter().map(|&b| (SIZE_SCALE - b) as u128).sum();
+        let remaining = self.suffix[idx];
+        let free = open as u64 * SIZE_SCALE - (self.suffix[0] - remaining);
         let overflow = remaining.saturating_sub(free);
-        let needed = bins.len() as u64 + overflow.div_ceil(SIZE_SCALE as u128) as u64;
+        let needed = open as u64 + overflow.div_ceil(SIZE_SCALE);
         if needed.max(lb) >= self.best {
             return;
         }
@@ -180,29 +196,35 @@ impl BpSearch<'_> {
         // Perfect-fit dominance: `s` is the largest remaining item (sizes
         // are sorted); if it exactly fills some bin's residual, placing it
         // there dominates every alternative — a single branch suffices.
-        if let Some(b) = bins.iter().position(|&load| load + s == SIZE_SCALE) {
-            bins[b] += s;
-            self.recurse(idx + 1, bins, lb);
-            bins[b] -= s;
+        if let Some(b) = self.bins[..open]
+            .iter()
+            .position(|&load| load + s == SIZE_SCALE)
+        {
+            self.bins[b] += s;
+            self.recurse(idx + 1, lb);
+            self.bins[b] -= s;
             return;
         }
         // Try existing bins, skipping duplicate residual capacities
         // (placing into two bins with equal load is symmetric).
-        let mut tried: Vec<u64> = Vec::with_capacity(bins.len());
-        for b in 0..bins.len() {
-            let load = bins[b];
-            if load + s > SIZE_SCALE || tried.contains(&load) {
+        let mut tried = [0u64; MAX_EXACT_ITEMS];
+        let mut ntried = 0;
+        for b in 0..open {
+            let load = self.bins[b];
+            if load + s > SIZE_SCALE || tried[..ntried].contains(&load) {
                 continue;
             }
-            tried.push(load);
-            bins[b] += s;
-            self.recurse(idx + 1, bins, lb);
-            bins[b] -= s;
+            tried[ntried] = load;
+            ntried += 1;
+            self.bins[b] += s;
+            self.recurse(idx + 1, lb);
+            self.bins[b] -= s;
         }
         // Open a new bin (canonical single branch).
-        bins.push(s);
-        self.recurse(idx + 1, bins, lb);
-        bins.pop();
+        self.bins[open] = s;
+        self.open += 1;
+        self.recurse(idx + 1, lb);
+        self.open -= 1;
     }
 }
 
@@ -351,33 +373,13 @@ pub fn exact_opt_r(instance: &Instance, max_active: usize) -> Option<Area> {
     if instance.items().iter().any(|it| !it.size.is_scalar()) {
         return None;
     }
-    let mut events: Vec<Time> = Vec::with_capacity(instance.len() * 2);
-    for it in instance.items() {
-        events.push(it.arrival);
-        events.push(it.departure);
+    if instance.max_concurrency() > max_active {
+        return None;
     }
-    events.sort_unstable();
-    events.dedup();
-
-    let mut cost = Area::ZERO;
-    let mut active: Vec<u64> = Vec::new();
-    for w in events.windows(2) {
-        let (t, next) = (w[0], w[1]);
-        active.clear();
-        active.extend(
-            instance
-                .items()
-                .iter()
-                .filter(|it| it.active_at(t))
-                .map(|it| it.size.primary().raw()),
-        );
-        if active.len() > max_active {
-            return None;
-        }
-        let bins = exact_bin_count(&active);
-        cost += Area::from_bins_ticks(bins, next.since(t));
-    }
-    Some(cost)
+    // Every segment is scalar and small enough for the exact search, so an
+    // unlimited sweep certifies each one exactly: lower = upper = BP.
+    let (bracket, _) = super::anytime::refine_opt_r(instance, true, &mut RefineBudget::unlimited());
+    Some(bracket.lower)
 }
 
 #[cfg(test)]
@@ -385,7 +387,7 @@ mod tests {
     use super::*;
     use dbp_core::bounds::LowerBounds;
     use dbp_core::size::Size;
-    use dbp_core::time::Dur;
+    use dbp_core::time::{Dur, Time};
 
     fn raw(v: &[(u64, u64)]) -> Vec<u64> {
         v.iter()

@@ -17,7 +17,6 @@
 use dbp_core::cost::Area;
 use dbp_core::instance::Instance;
 use dbp_core::size::SIZE_SCALE;
-use dbp_core::time::Time;
 
 /// Number of bins FFD uses for the given item sizes (raw fixed-point).
 pub fn ffd_bin_count(sizes: &mut [u64]) -> u64 {
@@ -39,33 +38,18 @@ pub fn ffd_bin_count(sizes: &mut [u64]) -> u64 {
 /// under that scalarization is feasible in every dimension, so the result
 /// stays a certified upper bound (and is bit-identical to the scalar
 /// sweep at D = 1).
+///
+/// Computed by the incremental profile sweep of
+/// [`refine_opt_r`](super::anytime::refine_opt_r), one FFD per segment.
 pub fn ffd_repack_cost(instance: &Instance) -> Area {
-    // Breakpoints: arrivals and departures, with departures first at equal
-    // times (half-open intervals).
-    let mut events: Vec<Time> = Vec::with_capacity(instance.len() * 2);
-    for it in instance.items() {
-        events.push(it.arrival);
-        events.push(it.departure);
-    }
-    events.sort_unstable();
-    events.dedup();
-
-    let items = instance.items();
-    let mut cost = Area::ZERO;
-    let mut scratch: Vec<u64> = Vec::new();
-    for w in events.windows(2) {
-        let (t, next) = (w[0], w[1]);
-        scratch.clear();
-        scratch.extend(
-            items
-                .iter()
-                .filter(|it| it.active_at(t))
-                .map(|it| it.size.max_raw()),
-        );
-        let bins = ffd_bin_count(&mut scratch);
-        cost += Area::from_bins_ticks(bins, next.since(t));
-    }
-    cost
+    // FFD never exceeds 2⌈S_t⌉, so the unlimited FFD sweep's upper side
+    // is exactly this cost.
+    let (bracket, _) = super::anytime::refine_opt_r(
+        instance,
+        false,
+        &mut super::budget::RefineBudget::unlimited(),
+    );
+    bracket.upper
 }
 
 #[cfg(test)]
@@ -73,7 +57,7 @@ mod tests {
     use super::*;
     use dbp_core::bounds::LowerBounds;
     use dbp_core::size::Size;
-    use dbp_core::time::Dur;
+    use dbp_core::time::{Dur, Time};
 
     fn sz(n: u64, d: u64) -> Size {
         Size::from_ratio(n, d)

@@ -45,22 +45,47 @@ pub struct PortfolioResult {
 ///
 /// Returns `(cost, assignment)`; the assignment is indexed by item id.
 ///
+/// Each bin keeps its load as a step function of time: sorted breakpoints,
+/// each carrying the per-dimension load until the next one. The load is
+/// piecewise constant and rises only at arrivals, so its maximum over an
+/// item's span `[a, d)` — what the capacity check needs — is the maximum
+/// over the steps that span touches: a `partition_point` plus a scan of
+/// those steps. Accepting an item splits the steps at `a` and `d` and adds
+/// its size to the steps between; loads only ever grow, so the bin's peak
+/// is kept as a running maximum. Both are exact per dimension.
+///
 /// The per-item bin search is guided by a [`FitTree`] keyed on each bin's
 /// *free floor* — `1 − (peak load over the bin's busy window)`. A floor
-/// ≥ the item's size guarantees the per-checkpoint capacity check passes
-/// (the load never exceeds its window peak), so the tree's first
-/// floor-qualifying, window-overlapping bin is accepted with no checkpoint
-/// scan at all, and the exact scan is confined to the prefix before it.
-/// The selected bin is identical to the seed's full linear scan (verified
-/// by a differential test against an independent oracle).
+/// ≥ the item's size guarantees the capacity check passes (the load never
+/// exceeds its window peak), so the tree's first floor-qualifying,
+/// window-overlapping bin is accepted with no step scan at all, and the
+/// exact check is confined to the prefix before it. The selected bin is
+/// identical to a plain linear scan of every bin (verified by a
+/// differential test against an independent oracle).
 pub fn duration_layered_first_fit(instance: &Instance) -> (Area, Vec<u32>) {
+    /// A bin's load step function: `steps[i].1` is the load on
+    /// `[steps[i].0, steps[i + 1].0)`. The last breakpoint is the bin's
+    /// close time and carries zero load, so the busy window is
+    /// `[steps[0].0, last)`.
     #[derive(Debug)]
     struct OffBin {
-        items: Vec<Item>,
-        open_from: Time,
-        close_at: Time,
+        steps: Vec<(Time, [u64; MAX_DIMS])>,
+        peak: [u64; MAX_DIMS],
     }
     impl OffBin {
+        fn new(item: &Item) -> OffBin {
+            let load = item.size.raws();
+            OffBin {
+                steps: vec![(item.arrival, load), (item.departure, [0; MAX_DIMS])],
+                peak: load,
+            }
+        }
+        fn open_from(&self) -> Time {
+            self.steps[0].0
+        }
+        fn close_at(&self) -> Time {
+            self.steps[self.steps.len() - 1].0
+        }
         /// The item must overlap the bin's busy window STRICTLY on both
         /// sides. Touching is not enough: with departures processed
         /// before arrivals, items meeting only at a junction point (one
@@ -69,55 +94,49 @@ pub fn duration_layered_first_fit(instance: &Instance) -> (Area, Vec<u32>) {
         /// Strict window overlap inductively keeps every interior point
         /// of the busy window strictly spanned by some item.
         fn window_overlaps(&self, item: &Item) -> bool {
-            item.arrival < self.close_at && item.departure > self.open_from
+            item.arrival < self.close_at() && item.departure > self.open_from()
         }
         fn can_accept(&self, item: &Item) -> bool {
             if !self.window_overlaps(item) {
                 return false;
             }
-            // Capacity at every arrival breakpoint inside the item's span.
-            let mut checkpoints = vec![item.arrival];
-            for r in &self.items {
-                if r.arrival > item.arrival && r.arrival < item.departure {
-                    checkpoints.push(r.arrival);
-                }
-            }
+            // The step in force at the arrival (the first one when the
+            // item starts before the window), then every later step the
+            // item's span reaches.
+            let first = self
+                .steps
+                .partition_point(|s| s.0 <= item.arrival)
+                .saturating_sub(1);
             let want = item.size.raws();
-            checkpoints.iter().all(|&t| {
-                let mut load = [0u64; MAX_DIMS];
-                for r in self.items.iter().filter(|r| r.active_at(t)) {
-                    for (l, c) in load.iter_mut().zip(r.size.raws()) {
-                        *l += c;
-                    }
-                }
-                load.iter().zip(want).all(|(&l, c)| l + c <= SIZE_SCALE)
-            })
+            self.steps[first..]
+                .iter()
+                .take_while(|s| s.0 < item.departure)
+                .all(|(_, load)| load.iter().zip(want).all(|(&l, c)| l + c <= SIZE_SCALE))
         }
-        fn accept(&mut self, item: Item) {
-            self.open_from = self.open_from.min(item.arrival);
-            self.close_at = self.close_at.max(item.departure);
-            self.items.push(item);
-        }
-        /// True per-dimension maxima of the bin's load step-function over
-        /// time, by an event sweep (departures before arrivals at equal
-        /// times, matching the engine's `t⁻`/`t⁺` convention).
-        fn peak_load(&self) -> [u64; MAX_DIMS] {
-            let mut events: Vec<(Time, i64, [u64; MAX_DIMS])> =
-                Vec::with_capacity(2 * self.items.len());
-            for r in &self.items {
-                events.push((r.arrival, 1, r.size.raws()));
-                events.push((r.departure, -1, r.size.raws()));
+        /// Makes `t` a breakpoint, copying the load in force there, and
+        /// returns its index.
+        fn split(&mut self, t: Time) -> usize {
+            let i = self.steps.partition_point(|s| s.0 < t);
+            if self.steps.get(i).is_none_or(|s| s.0 != t) {
+                let load = if i == 0 {
+                    [0; MAX_DIMS]
+                } else {
+                    self.steps[i - 1].1
+                };
+                self.steps.insert(i, (t, load));
             }
-            events.sort_unstable_by_key(|&(t, sgn, _)| (t, sgn));
-            let mut load = [0i64; MAX_DIMS];
-            let mut peak = [0i64; MAX_DIMS];
-            for (_, sgn, raws) in events {
+            i
+        }
+        fn accept(&mut self, item: &Item) {
+            let from = self.split(item.arrival);
+            let to = self.split(item.departure);
+            let add = item.size.raws();
+            for (_, load) in &mut self.steps[from..to] {
                 for d in 0..MAX_DIMS {
-                    load[d] += sgn * raws[d] as i64;
-                    peak[d] = peak[d].max(load[d]);
+                    load[d] += add[d];
+                    self.peak[d] = self.peak[d].max(load[d]);
                 }
             }
-            peak.map(|p| p as u64)
         }
     }
 
@@ -139,7 +158,7 @@ pub fn duration_layered_first_fit(instance: &Instance) -> (Area, Vec<u32>) {
     for it in order {
         let size = it.size;
         // First bin whose floor admits the item AND whose window overlaps:
-        // guaranteed acceptable, no checkpoint scan needed.
+        // guaranteed acceptable, no step scan needed.
         let mut guaranteed = floors.first_fit_vec(size);
         while let Some(idx) = guaranteed {
             if bins[idx].window_overlaps(it) {
@@ -155,31 +174,24 @@ pub fn duration_layered_first_fit(instance: &Instance) -> (Area, Vec<u32>) {
             .iter()
             .position(|b| b.can_accept(it))
             .or(guaranteed);
-        match slot {
+        let idx = match slot {
             Some(idx) => {
                 debug_assert!(bins[idx].can_accept(it), "floor jump overshot");
-                bins[idx].accept(*it);
-                assignment[it.id.index()] = idx as u32;
-                let free = bins[idx].peak_load().map(|p| SIZE_SCALE - p);
-                floors.set_remaining_vec(idx, &free);
+                bins[idx].accept(it);
+                idx
             }
             None => {
-                assignment[it.id.index()] = bins.len() as u32;
-                bins.push(OffBin {
-                    items: vec![*it],
-                    open_from: it.arrival,
-                    close_at: it.departure,
-                });
-                let s = floors.push(SIZE_SCALE - size.primary().raw());
-                let free = size.raws().map(|c| SIZE_SCALE - c);
-                floors.set_remaining_vec(s, &free);
-                debug_assert_eq!(s, bins.len() - 1);
+                bins.push(OffBin::new(it));
+                floors.push(SIZE_SCALE - size.primary().raw())
             }
-        }
+        };
+        debug_assert_eq!(floors.len(), bins.len());
+        assignment[it.id.index()] = idx as u32;
+        floors.set_remaining_vec(idx, &bins[idx].peak.map(|p| SIZE_SCALE - p));
     }
     let ticks: u64 = bins
         .iter()
-        .map(|b| b.close_at.since(b.open_from).ticks())
+        .map(|b| b.close_at().since(b.open_from()).ticks())
         .sum();
     (Area::from_bin_ticks(Dur(ticks)), assignment)
 }
