@@ -10,7 +10,9 @@
 //!   live [`BinClass`], answering First-Fit *within a class* — HA's type
 //!   chains and GN bins, CDFF's rows, CBD's bands — in O(log k), updated
 //!   by the same calls that update the record, so algorithms keep no copy
-//!   of their bins;
+//!   of their bins. Each open classed bin carries its partition and slot,
+//!   so updates reach the partition leaf without hashing, and an emptied
+//!   partition is cleared and recycled with its buffers;
 //! * a per-bin position index into the opening-order open list, so closing
 //!   a bin is O(1) (tombstone + amortized compaction) instead of an O(B)
 //!   order-preserving `Vec::remove`;
@@ -28,7 +30,7 @@ use std::collections::HashMap;
 
 use crate::fit_tree::{FitTree, SubsetFitTree};
 use crate::item::ItemId;
-use crate::size::{LoadVec, SizeVec, SIZE_SCALE};
+use crate::size::{LoadVec, SizeVec, MAX_DIMS, SIZE_SCALE};
 use crate::time::Time;
 
 /// Identifier of a bin, assigned in opening order (bin 0 opened first).
@@ -70,6 +72,9 @@ const TOMBSTONE: BinId = BinId(u32::MAX);
 
 /// Sentinel for "no position" in the `u32` position indexes.
 const NO_POS: u32 = u32::MAX;
+
+/// The `(partition, slot)` of an unclassed or closed bin.
+const UNCLASSED: (u32, u32) = (NO_POS, NO_POS);
 
 /// The engine-side record of one bin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,16 +136,18 @@ pub struct BinStore {
     /// Capacity tournament tree; slot = `BinId` index, closed bins keyed 0.
     tree: FitTree,
     /// First-Fit partitions, one per class with open bins, each holding
-    /// the class's open bins in opening order. A slot emptied by its
-    /// class's last close is recycled through `free_parts`.
+    /// the class's open bins in opening order. A partition emptied by its
+    /// class's last close is cleared (keeping its buffers) and recycled
+    /// through `free_parts`.
     parts: Vec<SubsetFitTree>,
     free_parts: Vec<u32>,
-    /// Class → its slot in `parts`, for class queries and opens.
+    /// Class → its index in `parts`, for class queries and opens.
     class_part: HashMap<BinClass, u32>,
-    /// `part_of[bin]`: the `parts` slot of an open classed bin, [`NO_POS`]
-    /// otherwise — so placements and departures reach the partition
-    /// without hashing the class.
-    part_of: Vec<u32>,
+    /// `part_of[bin]`: `(partition, slot)` of an open classed bin — its
+    /// index in `parts` and its slot there — [`UNCLASSED`] otherwise, so
+    /// placements and departures reach the partition leaf without hashing
+    /// the class or the bin.
+    part_of: Vec<(u32, u32)>,
     /// `item_pos[item] == i` ⇔ the item sits at `items[i]` of its bin.
     item_pos: Vec<u32>,
     /// Tournament-tree First-Fit queries answered (observability counter;
@@ -179,7 +186,8 @@ impl BinStore {
     /// An empty store pre-sized for `bins` bins and `items` items: every
     /// index (records, open list, position maps, tournament tree) reserves
     /// up front, so a run that stays within the estimate never reallocates
-    /// or rebuilds the tree.
+    /// (the tournament tree still doubles its leaf count as bins open, in
+    /// place within its reservation).
     pub fn with_capacity(bins: usize, items: usize) -> BinStore {
         BinStore {
             bins: Vec::with_capacity(bins),
@@ -229,17 +237,17 @@ impl BinStore {
         self.open.push(id);
         let slot = self.tree.push(SIZE_SCALE);
         debug_assert_eq!(slot, id.index());
-        let part = class.map_or(NO_POS, |class| {
+        let at = class.map_or(UNCLASSED, |class| {
             let part = *self.class_part.entry(class).or_insert_with(|| {
                 self.free_parts.pop().unwrap_or_else(|| {
                     self.parts.push(SubsetFitTree::new());
                     pos_id(self.parts.len() - 1)
                 })
             });
-            self.parts[part as usize].insert(id, SIZE_SCALE);
-            part
+            let slot = self.parts[part as usize].insert(id, SIZE_SCALE);
+            (part, pos_id(slot))
         });
-        self.part_of.push(part);
+        self.part_of.push(at);
         id
     }
 
@@ -260,10 +268,17 @@ impl BinStore {
         self.item_pos[idx] = pos_id(rec.items.len());
         rec.items.push(item);
         let remaining = rec.load.remaining();
-        self.tree.set_remaining_vec(bin.index(), &remaining);
-        let part = self.part_of[bin.index()];
+        self.set_remaining(bin, &remaining, size.dims_used());
+    }
+
+    /// Writes an open bin's remaining capacity to the tournament tree and,
+    /// for a classed bin, to its partition (materializing key planes up to
+    /// `dims` dimensions there).
+    fn set_remaining(&mut self, bin: BinId, remaining: &[u64; MAX_DIMS], dims: usize) {
+        self.tree.set_remaining_vec(bin.index(), remaining);
+        let (part, slot) = self.part_of[bin.index()];
         if part != NO_POS {
-            self.parts[part as usize].set_remaining_vec(bin, &remaining, size.dims_used());
+            self.parts[part as usize].set_remaining_vec(slot as usize, remaining, dims);
         }
     }
 
@@ -321,12 +336,15 @@ impl BinStore {
             let spare = core::mem::take(&mut rec.items);
             self.spare_lists.push(spare);
             self.tree.close(bin.index());
-            let part = core::mem::replace(&mut self.part_of[bin.index()], NO_POS);
+            let (part, slot) = core::mem::replace(&mut self.part_of[bin.index()], UNCLASSED);
             if part != NO_POS {
                 let partition = &mut self.parts[part as usize];
-                partition.remove(bin);
+                let part_of = &mut self.part_of;
+                partition.remove(slot as usize, |moved, slot| {
+                    part_of[moved.index()].1 = pos_id(slot);
+                });
                 if partition.is_empty() {
-                    *partition = SubsetFitTree::new();
+                    partition.clear();
                     self.free_parts.push(part);
                     let class = rec.class.expect("a partitioned bin has a class");
                     self.class_part.remove(&class);
@@ -349,11 +367,7 @@ impl BinStore {
             true
         } else {
             let remaining = rec.load.remaining();
-            self.tree.set_remaining_vec(bin.index(), &remaining);
-            let part = self.part_of[bin.index()];
-            if part != NO_POS {
-                self.parts[part as usize].set_remaining_vec(bin, &remaining, size.dims_used());
-            }
+            self.set_remaining(bin, &remaining, size.dims_used());
             false
         }
     }
@@ -414,8 +428,9 @@ impl BinStore {
     /// bins densely, preserving opening order (`old_to_new[old.index()]`
     /// is the survivor's new id; [`TOMBSTONE`] marks a dropped record).
     /// Bounds the record table by the number of *open* bins instead of the
-    /// number ever opened. The open list, position index and tournament
-    /// tree and class partitions are rebuilt for the new id space;
+    /// number ever opened. The open list and position index are rebuilt
+    /// for the new id space, and the tournament tree and the class
+    /// partitions compact to their open slots in place;
     /// [`BinStore::total_opened`] keeps counting retired records. Callers
     /// must remap every `BinId` they hold — the engine pushes the mapping
     /// to its sink through `EventSink::on_bin_compact`.
@@ -437,9 +452,6 @@ impl BinStore {
         self.part_of
             .retain(|_| open.next().expect("one partition slot per record"));
         self.bins.retain(|r| r.is_open());
-        let dims = self.tree.dims();
-        let mut tree = FitTree::with_capacity(new_len);
-        tree.ensure_dims(dims);
         self.open.clear();
         self.open_pos.clear();
         self.dead = 0;
@@ -448,13 +460,16 @@ impl BinStore {
             debug_assert_eq!(rec.id.index(), new);
             self.open_pos.push(pos_id(new));
             self.open.push(rec.id);
-            let slot = tree.push(SIZE_SCALE);
-            debug_assert_eq!(slot, new);
-            tree.set_remaining_vec(slot, &rec.load.remaining());
         }
-        self.tree = tree;
+        // Closed bins are exactly the tree's closed slots, so compacting
+        // the tree to its open slots renumbers it like the records.
+        self.tree.retain_open(|_, _| {});
+        debug_assert_eq!(self.tree.len(), new_len);
+        let part_of = &mut self.part_of;
         for partition in &mut self.parts {
-            partition.remap_bins(&old_to_new);
+            partition.remap_bins(&old_to_new, |bin, slot| {
+                part_of[bin.index()].1 = pos_id(slot);
+            });
         }
         old_to_new
     }
@@ -707,6 +722,58 @@ mod tests {
             }
         }
         assert!(store.open_count() <= store.total_opened());
+    }
+
+    #[test]
+    fn class_partitions_agree_with_records_through_churn_and_compaction() {
+        // Four classes churn long enough for partitions to compact their
+        // tombstones, while bin compaction renames members every 97 steps:
+        // class queries must keep matching a scan of the open records.
+        let mut store = BinStore::new();
+        let sizes = [
+            Size::from_ratio(1, 3),
+            Size::from_ratio(2, 3),
+            Size::from_ratio(1, 7),
+            half(),
+            Size::FULL,
+        ];
+        let mut resident: Vec<(BinId, ItemId, Size)> = Vec::new();
+        let mut state = 0x0c1a_55e5u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for step in 0..3_000u32 {
+            let class = BinClass(rand() % 4);
+            let s = sizes[(rand() % sizes.len() as u64) as usize];
+            let in_class = |b: &BinId| store.record(*b).unwrap().class == Some(class);
+            let want = store
+                .open_ids()
+                .filter(in_class)
+                .find(|&b| store.record(b).unwrap().fits(s));
+            assert_eq!(store.first_fit_in(class, s), want, "step {step}");
+            let members: Vec<BinId> = store.bins_in(class).map(|r| r.id).collect();
+            let want_members: Vec<BinId> = store.open_ids().filter(in_class).collect();
+            assert_eq!(members, want_members, "step {step}");
+            assert_eq!(store.class_open_count(class), want_members.len());
+            let bin = want.unwrap_or_else(|| store.open_in(Time(u64::from(step)), class));
+            store.add(bin, ItemId(step), s);
+            resident.push((bin, ItemId(step), s));
+            while rand() % 2 == 0 && !resident.is_empty() {
+                let k = (rand() % resident.len() as u64) as usize;
+                let (b, i, sz) = resident.swap_remove(k);
+                store.remove(b, i, sz, Time(u64::from(step)));
+            }
+            if step % 97 == 96 {
+                let map = store.compact_bins();
+                for r in &mut resident {
+                    r.0 = map[r.0.index()];
+                }
+            }
+        }
+        assert!(store.total_opened() > 4 * 64, "partitions saw tombstones");
     }
 
     #[test]

@@ -16,7 +16,15 @@
 //! through the store's capacity tournament tree (placement validation is
 //! O(1)); a departure is O(1) amortized ([`BinStore`]'s position indexes).
 //! [`run`] pre-reserves every per-item and per-bin table from the
-//! instance size, so batch replays allocate O(1) times.
+//! instance size (plus room for the re-admission clones a seeded failure
+//! plan creates), so batch replays allocate O(1) times; the steady-state
+//! loop allocates nothing, classed algorithms included (the store
+//! recycles class partitions with their buffers).
+//!
+//! Item state is one row table, a `Vec<Item>` with `items[i].id ==
+//! ItemId(i)` (compaction and permutation renumber the ids), so
+//! [`InteractiveSim::finish`] hands it to the played [`Instance`] without
+//! copying.
 //!
 //! Observability: the simulator emits a structured [`EngineEvent`] stream
 //! through an [`EventSink`] type parameter (default [`NoopSink`], whose
@@ -175,7 +183,7 @@ pub struct PendingReadmission {
     pub parent: ItemId,
     /// The parent row's arrival.
     pub arrival: Time,
-    /// When the parent was displaced (its truncated departure column).
+    /// When the parent was displaced (its row's truncated departure).
     pub displaced_at: Time,
     /// When the retry re-enters.
     pub at: Time,
@@ -250,56 +258,12 @@ impl FailureCtl {
     }
 }
 
-/// Struct-of-arrays item state: the engine's per-item columns, parallel to
-/// the assignment vector. The drain loops touch exactly one column per
-/// check (a departure-staleness test reads only `departures`), so the hot
-/// path streams over dense `u64`s instead of striding across whole
-/// [`Item`] records.
-struct ItemTable {
-    arrivals: Vec<Time>,
-    departures: Vec<Time>,
-    sizes: Vec<SizeVec>,
-}
-
 /// Checked `usize → u32` for item-table row indices. Rows, heap entries
 /// and compaction remaps are keyed by `u32`; a table past `u32::MAX` rows
 /// must fail loudly here rather than silently truncate an id.
 #[inline]
 fn row_id(i: usize) -> u32 {
     u32::try_from(i).expect("item table exceeds u32::MAX rows")
-}
-
-impl ItemTable {
-    fn with_capacity(n: usize) -> ItemTable {
-        ItemTable {
-            arrivals: Vec::with_capacity(n),
-            departures: Vec::with_capacity(n),
-            sizes: Vec::with_capacity(n),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    fn push(&mut self, item: Item) {
-        self.arrivals.push(item.arrival);
-        self.departures.push(item.departure);
-        self.sizes.push(item.size);
-    }
-
-    /// Materializes the row as an [`Item`] (for algorithm callbacks).
-    #[inline]
-    fn get(&self, i: u32) -> Item {
-        let idx = i as usize;
-        Item::new(
-            ItemId(i),
-            self.arrivals[idx],
-            self.departures[idx],
-            self.sizes[idx],
-        )
-    }
 }
 
 /// An in-flight simulation accepting items one at a time.
@@ -315,11 +279,13 @@ pub struct InteractiveSim<A: OnlineAlgorithm, S: EventSink = NoopSink> {
     now: Time,
     started: bool,
     /// Pending departures: `(departure, item index)`. An entry is *stale*
-    /// (and skipped on pop) when the item's departure column no longer
-    /// matches its queued time — displacement truncates the column, which
+    /// (and skipped on pop) when the item row's departure no longer
+    /// matches its queued time — displacement truncates the row, which
     /// acts as the entry's generation check.
     departures: BinaryHeap<Reverse<(Time, u32)>>,
-    items: ItemTable,
+    /// The row table, parallel to `assignment`, with `items[i].id ==
+    /// ItemId(i)` (see the module docs).
+    items: Vec<Item>,
     assignment: Vec<BinId>,
     cost: Area,
     max_open: usize,
@@ -385,14 +351,18 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         sink: S,
     ) -> InteractiveSim<A, S> {
         algo.reset();
+        // Rows past the arrivals are re-admission clones; reserving them
+        // spares the row-indexed tables a reallocation late in the run,
+        // whose copy would set the run's peak memory.
+        let rows = items + plan.clone_headroom(items);
         InteractiveSim {
             algo,
-            bins: BinStore::with_capacity(items, items),
+            bins: BinStore::with_capacity(items, rows),
             now: Time::ZERO,
             started: false,
             departures: BinaryHeap::with_capacity(items),
-            items: ItemTable::with_capacity(items),
-            assignment: Vec::with_capacity(items),
+            items: Vec::with_capacity(rows),
+            assignment: Vec::with_capacity(rows),
             cost: Area::ZERO,
             max_open: 0,
             // One breakpoint per open plus one per close bounds the
@@ -534,11 +504,11 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             .readmits
             .iter()
             .map(|Reverse(p)| {
-                let idx = p.parent as usize;
+                let row = &self.items[p.parent as usize];
                 PendingReadmission {
-                    parent: ItemId(p.parent),
-                    arrival: self.items.arrivals[idx],
-                    displaced_at: self.items.departures[idx],
+                    parent: row.id,
+                    arrival: row.arrival,
+                    displaced_at: row.departure,
                     at: p.at,
                     attempt: p.attempt,
                     departure: p.departure,
@@ -579,7 +549,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             arrival < displaced_at && displaced_at <= self.now && self.now <= at && at < departure,
             "restored re-admission violates arrival < displaced ≤ now ≤ retry < departure"
         );
-        let id = ItemId(u32::try_from(self.items.len()).expect("too many items"));
+        let id = self.next_item_id();
         self.items.push(Item::new(id, arrival, displaced_at, size));
         self.assignment.push(BinId(u32::MAX));
         // The pending entry itself carries `attempt`; the dead parent row's
@@ -640,10 +610,10 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
     /// The live items: `(id, item, bin)` for every resident row, in id
     /// order. Undated items report the `Time(u64::MAX)` placeholder.
     pub fn live_items(&self) -> impl Iterator<Item = (ItemId, Item, BinId)> + '_ {
-        (0..row_id(self.items.len())).filter_map(move |i| {
-            let dep = self.items.departures[i as usize];
-            (dep > self.now).then(|| (ItemId(i), self.items.get(i), self.assignment[i as usize]))
-        })
+        self.items
+            .iter()
+            .filter(move |it| it.departure > self.now)
+            .map(move |it| (it.id, *it, self.assignment[it.id.index()]))
     }
 
     /// Drains every remaining departure (and scheduled crash /
@@ -677,7 +647,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         let old_len = self.items.len();
         let mut keep = vec![false; old_len];
         for (i, k) in keep.iter_mut().enumerate() {
-            *k = self.items.departures[i] > self.now;
+            *k = self.items[i].departure > self.now;
         }
         // Parent rows of pending re-admissions stay, so the forthcoming
         // `ItemReadmitted { original }` still names a translatable row.
@@ -699,54 +669,18 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             self.sink.on_compact(&retained, old_len);
             return retained;
         }
-        // Columns + assignment: in-place dense retain, preserving order
-        // (ids must stay in (arrival, submission) order).
+        // Rows + assignment: in-place dense retain, preserving order (ids
+        // must stay in (arrival, submission) order) and renumbering ids.
         for (new, &ItemId(old)) in retained.iter().enumerate() {
             let old = old as usize;
-            self.items.arrivals[new] = self.items.arrivals[old];
-            self.items.departures[new] = self.items.departures[old];
-            self.items.sizes[new] = self.items.sizes[old];
+            self.items[new] = Item {
+                id: ItemId(row_id(new)),
+                ..self.items[old]
+            };
             self.assignment[new] = self.assignment[old];
         }
-        self.items.arrivals.truncate(retained.len());
-        self.items.departures.truncate(retained.len());
-        self.items.sizes.truncate(retained.len());
+        self.items.truncate(retained.len());
         self.assignment.truncate(retained.len());
-        // Departure heap: re-key live entries, discard the rest. A stale
-        // entry (queued departure no longer matching its row's column, or
-        // a dead row) would have been popped-and-skipped eventually; count
-        // it as popped now so final metrics match the lazy path.
-        let old_heap = std::mem::take(&mut self.departures);
-        let mut rebuilt = BinaryHeap::with_capacity(old_heap.len());
-        for Reverse((dep, idx)) in old_heap.into_iter() {
-            let new = old_to_new[idx as usize];
-            if new != u32::MAX && self.items.departures[new as usize] == dep {
-                rebuilt.push(Reverse((dep, new)));
-            } else {
-                self.metrics.heap_pops += 1;
-            }
-        }
-        self.departures = rebuilt;
-        // Re-admission queue: re-key parents. The remap is monotone, so
-        // the (at, parent) drain order is unchanged.
-        let old_readmits = std::mem::take(&mut self.failures.readmits);
-        let mut readmits = BinaryHeap::with_capacity(old_readmits.len());
-        for Reverse(mut p) in old_readmits.into_iter() {
-            p.parent = old_to_new[p.parent as usize];
-            debug_assert!(p.parent != u32::MAX, "parents were kept above");
-            readmits.push(Reverse(p));
-        }
-        self.failures.readmits = readmits;
-        // Attempt counters follow their rows.
-        if !self.failures.attempts.is_empty() {
-            let old_attempts = std::mem::take(&mut self.failures.attempts);
-            self.failures.attempts = retained
-                .iter()
-                .map(|&ItemId(old)| old_attempts.get(old as usize).copied().unwrap_or(0))
-                .collect();
-        }
-        // Per-bin resident lists and the item position index.
-        self.bins.remap_items(&old_to_new, retained.len());
         // Timeline: keep only the last breakpoint so the
         // `record_open_count_at` dedup still sees it.
         if self.timeline.len() > 1 {
@@ -754,9 +688,51 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             self.timeline.clear();
             self.timeline.push(last);
         }
-        self.algo.on_compact(&retained, old_len);
-        self.sink.on_compact(&retained, old_len);
+        // The remap is monotone, so the re-admission queue's (at, parent)
+        // drain order is unchanged.
+        self.renumber_rows(&retained, &old_to_new, old_len);
         retained
+    }
+
+    /// Carries a row renumbering from the rows to the rest of the engine:
+    /// `order[new]` is the old row now at `new`, `old_to_new` its inverse
+    /// (`u32::MAX` for a dropped row). Rewrites the departure heap, the
+    /// re-admission queue (whose parents are never dropped), the attempt
+    /// counters and the resident lists, then calls the algorithm's and the
+    /// sink's `on_compact` hooks. A heap entry of a dropped row, or one
+    /// whose row's departure no longer matches (displacement), would have
+    /// been popped-and-skipped eventually; it counts as popped now so final
+    /// metrics match the lazy path.
+    fn renumber_rows(&mut self, order: &[ItemId], old_to_new: &[u32], old_len: usize) {
+        let old_heap = std::mem::take(&mut self.departures);
+        let mut rebuilt = BinaryHeap::with_capacity(old_heap.len());
+        for Reverse((dep, idx)) in old_heap.into_iter() {
+            let new = old_to_new[idx as usize];
+            if new != u32::MAX && self.items[new as usize].departure == dep {
+                rebuilt.push(Reverse((dep, new)));
+            } else {
+                self.metrics.heap_pops += 1;
+            }
+        }
+        self.departures = rebuilt;
+        let old_readmits = std::mem::take(&mut self.failures.readmits);
+        let mut readmits = BinaryHeap::with_capacity(old_readmits.len());
+        for Reverse(mut p) in old_readmits.into_iter() {
+            p.parent = old_to_new[p.parent as usize];
+            debug_assert!(p.parent != u32::MAX, "re-admission parents are kept");
+            readmits.push(Reverse(p));
+        }
+        self.failures.readmits = readmits;
+        if !self.failures.attempts.is_empty() {
+            let old_attempts = std::mem::take(&mut self.failures.attempts);
+            self.failures.attempts = order
+                .iter()
+                .map(|&ItemId(old)| old_attempts.get(old as usize).copied().unwrap_or(0))
+                .collect();
+        }
+        self.bins.remap_items(old_to_new, order.len());
+        self.algo.on_compact(order, old_len);
+        self.sink.on_compact(order, old_len);
     }
 
     /// Compacts the bin store: reclaims every closed bin's record and
@@ -837,47 +813,19 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             assert_eq!(*slot, u32::MAX, "duplicate row in permutation");
             *slot = row_id(new);
         }
-        let pick = |col: &[Time]| order.iter().map(|&ItemId(o)| col[o as usize]).collect();
-        self.items.arrivals = pick(&self.items.arrivals);
-        self.items.departures = pick(&self.items.departures);
-        self.items.sizes = order
+        self.items = order
             .iter()
-            .map(|&ItemId(o)| self.items.sizes[o as usize])
+            .enumerate()
+            .map(|(new, &ItemId(o))| Item {
+                id: ItemId(row_id(new)),
+                ..self.items[o as usize]
+            })
             .collect();
         self.assignment = order
             .iter()
             .map(|&ItemId(o)| self.assignment[o as usize])
             .collect();
-        let old_heap = std::mem::take(&mut self.departures);
-        let mut rebuilt = BinaryHeap::with_capacity(old_heap.len());
-        for Reverse((dep, idx)) in old_heap.into_iter() {
-            let new = old_to_new[idx as usize];
-            if self.items.departures[new as usize] == dep {
-                rebuilt.push(Reverse((dep, new)));
-            } else {
-                // Stale entry (column truncated by displacement): popped
-                // now instead of lazily later, exactly like `compact`.
-                self.metrics.heap_pops += 1;
-            }
-        }
-        self.departures = rebuilt;
-        let old_readmits = std::mem::take(&mut self.failures.readmits);
-        let mut readmits = BinaryHeap::with_capacity(old_readmits.len());
-        for Reverse(mut p) in old_readmits.into_iter() {
-            p.parent = old_to_new[p.parent as usize];
-            readmits.push(Reverse(p));
-        }
-        self.failures.readmits = readmits;
-        if !self.failures.attempts.is_empty() {
-            let old_attempts = std::mem::take(&mut self.failures.attempts);
-            self.failures.attempts = order
-                .iter()
-                .map(|&ItemId(o)| old_attempts.get(o as usize).copied().unwrap_or(0))
-                .collect();
-        }
-        self.bins.remap_items(&old_to_new, old_len);
-        self.algo.on_compact(order, old_len);
-        self.sink.on_compact(order, old_len);
+        self.renumber_rows(order, &old_to_new, old_len);
     }
 
     /// Emits an engine event to the attached sink.
@@ -945,7 +893,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         let arrival = self.now;
         self.try_advance_to(arrival)?;
         // Allocated after the drain: re-admission clones take slots too.
-        let id = ItemId(u32::try_from(self.items.len()).expect("too many items"));
+        let id = self.next_item_id();
         self.metrics.arrivals += 1;
         self.emit(EngineEvent::Arrival {
             item: id,
@@ -985,13 +933,14 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
     pub fn try_set_departure(&mut self, item: ItemId, at: Time) -> Result<(), EngineError> {
         let now = self.now;
         let idx = item.index();
-        if idx >= self.items.len() || self.items.departures[idx] != Time(u64::MAX) {
-            return Err(EngineError::NotUndated { item });
-        }
-        if at < now || at <= self.items.arrivals[idx] {
+        let row = match self.items.get_mut(idx) {
+            Some(row) if row.departure == Time(u64::MAX) => row,
+            _ => return Err(EngineError::NotUndated { item }),
+        };
+        if at < now || at <= row.arrival {
             return Err(EngineError::BadDeparture { item, at, now });
         }
-        self.items.departures[idx] = at;
+        row.departure = at;
         self.departures.push(Reverse((at, item.0)));
         self.metrics.heap_pushes += 1;
         self.undated -= 1;
@@ -1010,7 +959,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         let size = size.into();
         if self.started && arrival < self.now {
             return Err(EngineError::TimeRegression {
-                item: ItemId(u32::try_from(self.items.len()).expect("too many items")),
+                item: self.next_item_id(),
                 now: self.now,
                 arrival,
             });
@@ -1018,7 +967,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         self.try_advance_to(arrival)?;
         // The id is allocated only after the drain: advancing the clock can
         // re-admit displaced items, and each clone takes the next slot.
-        let id = ItemId(u32::try_from(self.items.len()).expect("too many items"));
+        let id = self.next_item_id();
         let item = Item::new(id, arrival, arrival + dur, size);
         self.metrics.arrivals += 1;
         self.emit(EngineEvent::Arrival {
@@ -1143,19 +1092,13 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             panic!("illegal re-admission placement while draining: {e}");
         }
         debug_assert_eq!(self.bins.open_count(), 0, "all bins close at the end");
-        let mut builder = InstanceBuilder::with_capacity(self.items.len());
-        for i in 0..self.items.len() {
-            builder.push_interval(
-                self.items.arrivals[i],
-                self.items.departures[i],
-                self.items.sizes[i],
-            );
-        }
-        let instance = builder.build().expect("engine-built items are valid");
-        // Items were pushed in (arrival, submission) order — re-admission
+        // Rows were pushed in (arrival, submission) order — re-admission
         // clones included, since they are created while the clock advances
-        // toward the next arrival — so the stable sort in `build` keeps
+        // toward the next arrival — so `build` finds them sorted and keeps
         // ids aligned with our assignment vector.
+        let instance = InstanceBuilder::from_rows(self.items)
+            .build()
+            .expect("engine-built items are valid");
         let bin_intervals = self
             .bins
             .all()
@@ -1214,14 +1157,13 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
     fn pop_departure(&mut self) -> Result<(), EngineError> {
         let Reverse((dep, idx)) = self.departures.pop().expect("peeked before pop");
         self.metrics.heap_pops += 1;
-        if self.items.departures[idx as usize] != dep {
-            // Generation check: displacement truncated the departure
-            // column after this entry was queued, marking it stale. One
-            // column load decides — the full record is never touched; the
+        let item = self.items[idx as usize];
+        if item.departure != dep {
+            // Generation check: displacement truncated the row's departure
+            // after this entry was queued, marking it stale; the
             // re-admission (if any) carries its own entry.
             return Ok(());
         }
-        let item = self.items.get(idx);
         self.now = self.now.max(dep);
         let bin = self.assignment[idx as usize];
         let closed = self.detach(bin, item.id, item.size, dep);
@@ -1295,7 +1237,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         residents.sort_unstable();
         debug_assert!(!residents.is_empty(), "open bins always hold an item");
         for &i in &residents {
-            let item = self.items.get(i);
+            let item = self.items[i as usize];
             assert!(
                 item.departure != Time(u64::MAX),
                 "cannot displace undated item {} (date it before injecting failures)",
@@ -1313,7 +1255,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             // Truncate the played interval at the displacement; this also
             // marks the departure-heap entry stale (the generation check
             // in pop_departure).
-            self.items.departures[i as usize] = at;
+            self.items[i as usize].departure = at;
             let attempt = self.failures.attempts_of(i) + 1;
             self.failures.report.max_attempts = self.failures.report.max_attempts.max(attempt);
             let readmit_at = at.saturating_add(self.failures.retry.delay(attempt));
@@ -1351,7 +1293,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
     fn pop_readmit(&mut self) -> Result<(), EngineError> {
         let Reverse(p) = self.failures.readmits.pop().expect("peeked before pop");
         self.now = self.now.max(p.at);
-        let id = ItemId(u32::try_from(self.items.len()).expect("too many items"));
+        let id = self.next_item_id();
         self.failures.report.readmissions += 1;
         self.emit(EngineEvent::ItemReadmitted {
             item: id,
@@ -1390,11 +1332,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             // algorithm issues while deciding are engine-attributed.
             let (tree_before, linear_before) = self.bins.query_counters();
             let proposal = {
-                let view = RecourseView::new(
-                    SimView::new(self.now, &self.bins),
-                    &self.items.sizes,
-                    &self.items.departures,
-                );
+                let view = RecourseView::new(SimView::new(self.now, &self.bins), &self.items);
                 self.algo.propose_migration(&view, epoch, left)
             };
             let (tree_after, linear_after) = self.bins.query_counters();
@@ -1442,7 +1380,9 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
             });
         }
         // Target checks mirror placement validation.
-        let size = self.items.sizes[idx];
+        let Item {
+            size, departure, ..
+        } = self.items[idx];
         match self.bins.record(m.to) {
             None => {
                 return Err(EngineError::BinNotOpen {
@@ -1471,7 +1411,7 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         // target. Engine-level residency is unchanged.
         let closed = self.detach(from, m.item, size, at);
         self.bins.add(m.to, m.item, size);
-        self.bins.book_departure(m.to, self.items.departures[idx]);
+        self.bins.book_departure(m.to, departure);
         if !closed {
             self.rebook_departures(from);
         }
@@ -1493,12 +1433,18 @@ impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
         Ok(())
     }
 
-    /// Recomputes a bin's latest resident departure from the departure
-    /// column, after a resident left early (migration) or was dated.
+    /// Recomputes a bin's latest resident departure from the row table,
+    /// after a resident left early (migration) or was dated.
     fn rebook_departures(&mut self, bin: BinId) {
-        let departures = &self.items.departures;
+        let items = &self.items;
         self.bins
-            .rebook_departures(bin, |item| departures[item.index()]);
+            .rebook_departures(bin, |item| items[item.index()].departure);
+    }
+
+    /// The id the next row will take.
+    #[inline]
+    fn next_item_id(&self) -> ItemId {
+        ItemId(row_id(self.items.len()))
     }
 
     fn record_open_count(&mut self) {
@@ -2133,24 +2079,66 @@ mod tests {
         );
     }
 
+    /// The seeded-chaos item stream the compaction tests share.
+    fn chaos_items() -> Vec<(Time, Dur, Size)> {
+        (0..200u64)
+            .map(|k| (Time(k / 2), Dur(6 + k % 9), sz(1 + k % 3, 4)))
+            .collect()
+    }
+
+    /// First-Fit under a seeded crash plan that fires and re-admits on
+    /// [`chaos_items`].
+    fn chaos_sim() -> InteractiveSim<Ff> {
+        let plan = FailurePlan::seeded(0.6, 11, Dur(4));
+        InteractiveSim::with_capacity_failures_and_sink(
+            Ff,
+            0,
+            plan,
+            RetryPolicy::Fixed(Dur(2)),
+            NoopSink,
+        )
+    }
+
+    /// The instance the pre-row-table `finish` built: every row copied
+    /// through `push_interval`.
+    fn copied_instance<S: EventSink>(sim: &InteractiveSim<Ff, S>) -> Instance {
+        let mut builder = InstanceBuilder::with_capacity(sim.items.len());
+        for it in &sim.items {
+            builder.push_interval(it.arrival, it.departure, it.size);
+        }
+        builder.build().expect("engine-built items are valid")
+    }
+
+    /// After a renumbering, row `new` holds old row `order[new]` and its id
+    /// is `new`.
+    fn assert_rows_renumbered<S: EventSink>(
+        sim: &InteractiveSim<Ff, S>,
+        before: &[Item],
+        order: &[ItemId],
+    ) {
+        assert_eq!(sim.items.len(), order.len());
+        for (new, (row, &old)) in sim.items.iter().zip(order).enumerate() {
+            let id = ItemId(row_id(new));
+            let want = Item {
+                id,
+                ..before[old.index()]
+            };
+            assert_eq!(*row, want, "row {new}");
+        }
+    }
+
     #[test]
     fn compaction_with_failures_matches_uncompacted_run() {
-        // Displacements truncate departure columns, so the compacted run
+        // Displacements truncate row departures, so the compacted run
         // must discard stale heap entries AND bill them as pops; pending
         // re-admission parents must survive the row drop.
-        let items: Vec<(Time, Dur, Size)> = (0..200u64)
-            .map(|k| (Time(k / 2), Dur(6 + k % 9), sz(1 + k % 3, 4)))
-            .collect();
-        let plan = || FailurePlan::seeded(0.6, 11, Dur(4));
-        let retry = RetryPolicy::Fixed(Dur(2));
-        let mut plain =
-            InteractiveSim::with_capacity_failures_and_sink(Ff, 0, plan(), retry, NoopSink);
+        let items = chaos_items();
+        let mut plain = chaos_sim();
         for &(t, d, s) in &items {
             plain.arrive_at(t, d, s).unwrap();
         }
         plain.drain_remaining().unwrap();
-        let mut compacted =
-            InteractiveSim::with_capacity_failures_and_sink(Ff, 0, plan(), retry, NoopSink);
+        let mut compacted = chaos_sim();
         for (k, &(t, d, s)) in items.iter().enumerate() {
             compacted.arrive_at(t, d, s).unwrap();
             if k % 17 == 16 {
@@ -2163,6 +2151,55 @@ mod tests {
         assert_eq!(plain.metrics(), compacted.metrics());
         assert_eq!(plain.resilience(), compacted.resilience());
         assert_eq!(plain.bins_opened(), compacted.bins_opened());
+    }
+
+    #[test]
+    fn finish_hands_over_the_rows_the_copying_path_built() {
+        let mut sim = chaos_sim();
+        for (t, d, s) in chaos_items() {
+            sim.arrive_at(t, d, s).unwrap();
+        }
+        sim.drain_remaining().unwrap();
+        assert!(sim.resilience().readmissions > 0, "plan re-admits");
+        let copied = copied_instance(&sim);
+        let (played, result) = sim.finish();
+        assert_eq!(played, copied);
+        assert_eq!(result.assignment.len(), played.len());
+
+        // A restored re-admission's parent row arrived before the rows
+        // around it, so `build` must sort, exactly as the copy did.
+        let mut sim = chaos_sim();
+        for (t, d, s) in chaos_items().into_iter().take(40) {
+            sim.arrive_at(t, d, s).unwrap();
+        }
+        let now = sim.now();
+        sim.restore_pending_readmission(Time(0), now, now, 1, now + Dur(10), sz(1, 4));
+        sim.drain_remaining().unwrap();
+        let copied = copied_instance(&sim);
+        let (played, _) = sim.finish();
+        assert_eq!(played, copied);
+        assert!(played.items().is_sorted_by_key(|it| it.arrival));
+    }
+
+    #[test]
+    fn rows_keep_id_equal_to_row_through_compaction_and_permutation() {
+        let mut sim = chaos_sim();
+        for (k, (t, d, s)) in chaos_items().into_iter().enumerate() {
+            sim.arrive_at(t, d, s).unwrap();
+            if k % 17 == 16 {
+                let before = sim.items.clone();
+                let retained = sim.compact();
+                assert_rows_renumbered(&sim, &before, &retained);
+            }
+        }
+        assert!(sim.resilience().readmissions > 0, "plan re-admits");
+        let before = sim.items.clone();
+        let order: Vec<ItemId> = (0..before.len()).rev().map(|i| ItemId(row_id(i))).collect();
+        sim.permute_rows(&order);
+        assert_rows_renumbered(&sim, &before, &order);
+        assert!(sim.live_items().all(|(id, it, _)| id == it.id));
+        sim.drain_remaining().unwrap();
+        assert_eq!(sim.resident_items(), 0);
     }
 
     #[test]
@@ -2194,19 +2231,13 @@ mod tests {
         // Bin renumbering must disturb neither placement decisions nor
         // seeded fate draws: the fate offset grows by the reclaimed count,
         // so every fresh bin still draws its uncompacted-run ordinal.
-        let items: Vec<(Time, Dur, Size)> = (0..200u64)
-            .map(|k| (Time(k / 2), Dur(6 + k % 9), sz(1 + k % 3, 4)))
-            .collect();
-        let plan = || FailurePlan::seeded(0.6, 11, Dur(4));
-        let retry = RetryPolicy::Fixed(Dur(2));
-        let mut plain =
-            InteractiveSim::with_capacity_failures_and_sink(Ff, 0, plan(), retry, NoopSink);
+        let items = chaos_items();
+        let mut plain = chaos_sim();
         for &(t, d, s) in &items {
             plain.arrive_at(t, d, s).unwrap();
         }
         plain.drain_remaining().unwrap();
-        let mut compacted =
-            InteractiveSim::with_capacity_failures_and_sink(Ff, 0, plan(), retry, NoopSink);
+        let mut compacted = chaos_sim();
         for (k, &(t, d, s)) in items.iter().enumerate() {
             compacted.arrive_at(t, d, s).unwrap();
             if k % 17 == 16 {

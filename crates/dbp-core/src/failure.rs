@@ -93,6 +93,22 @@ impl FailurePlan {
             || matches!(self, FailurePlan::Scripted(s) if s.is_empty())
     }
 
+    /// Room to reserve for the re-admission clones a run of `items`
+    /// arrivals creates, which take row-table rows past the arrivals. A
+    /// seeded plan dooms each bin with probability `rate`, so about a
+    /// `rate` share of rows, clones included, is displaced at most:
+    /// `items · rate / (1 − rate)` clones, capped at `items`. Other plans
+    /// reserve nothing (a scripted schedule names bins, not residents).
+    pub(crate) fn clone_headroom(&self, items: usize) -> usize {
+        match *self {
+            FailurePlan::Seeded { rate, .. } if rate < 1.0 => {
+                ((items as f64 * rate / (1.0 - rate)).ceil() as usize).min(items)
+            }
+            FailurePlan::Seeded { .. } => items,
+            _ => 0,
+        }
+    }
+
     /// Decides the crash time (if any) for bin `bin` opening at `t`.
     /// Only [`FailurePlan::Seeded`] answers here; scripted schedules are
     /// queued up-front by the engine.
@@ -258,6 +274,18 @@ mod tests {
     #[should_panic(expected = "not a probability")]
     fn out_of_range_rate_panics() {
         let _ = FailurePlan::seeded(1.5, 0, Dur(1));
+    }
+
+    #[test]
+    fn clone_headroom_follows_the_rate() {
+        assert_eq!(FailurePlan::none().clone_headroom(1000), 0);
+        let scripted = FailurePlan::scripted(vec![(Time(3), BinId(0))]);
+        assert_eq!(scripted.clone_headroom(1000), 0);
+        let seeded = |rate| FailurePlan::seeded(rate, 1, Dur(8));
+        assert_eq!(seeded(0.05).clone_headroom(300_000), 15_790);
+        assert_eq!(seeded(0.5).clone_headroom(1000), 1000);
+        assert_eq!(seeded(1.0).clone_headroom(1000), 1000);
+        assert_eq!(seeded(0.05).clone_headroom(0), 0);
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //! [`crate::size::Load::fits`]; the tree and the scan cannot disagree.
 //!
 //! **Tie-breaking invariant.** Slots are allocated in opening order and
-//! never reused, so "leftmost qualifying leaf" and "First-Fit over open
-//! bins in opening order" are the same bin by construction. [`BinStore`]
-//! (crate::bin_state::BinStore) uses slot = [`BinId`] index; per-class
-//! [`SubsetFitTree`]s rely on classes inserting their bins in ascending
-//! `BinId` order (asserted in debug builds).
-
-use std::collections::HashMap;
+//! compaction (`FitTree::retain_open`) keeps their order, so "leftmost
+//! qualifying leaf" and "First-Fit over open bins in opening order" are
+//! the same bin by construction. [`BinStore`](crate::bin_state::BinStore)
+//! uses slot = [`BinId`] index; per-class [`SubsetFitTree`]s rely on
+//! classes inserting their bins in ascending `BinId` order (asserted in
+//! debug builds). Growth, compaction and recycling all reuse the trees'
+//! buffers in place.
 
 use crate::bin_state::BinId;
 use crate::size::{SizeVec, MAX_DIMS, SIZE_SCALE};
@@ -44,7 +44,8 @@ use crate::size::{SizeVec, MAX_DIMS, SIZE_SCALE};
 pub struct FitTree {
     /// Heap-shaped max tree: `keys[1]` is the root, children of `i` are
     /// `2i` and `2i+1`, leaves are `keys[cap..cap + cap]`. Key = remaining
-    /// capacity + 1 for open slots, 0 for closed/unused slots.
+    /// capacity + 1 for open slots, 0 for closed/unused slots. Length
+    /// `2·cap`; growth fills any reserved capacity in place.
     keys: Vec<u64>,
     /// Per-dimension key planes for dimensions 1.. of a vector-packing
     /// run, same heap shape and key encoding as `keys` (which remains the
@@ -57,8 +58,40 @@ pub struct FitTree {
     planes: Vec<Vec<u64>>,
     /// Number of leaves (a power of two, or 0 before the first push).
     cap: usize,
-    /// Number of slots ever allocated.
+    /// Number of slots allocated (closed slots included).
     len: usize,
+}
+
+/// Writes leaf `slot` of a heap-shaped key array with `cap` leaves and
+/// updates its ancestors, stopping at the first that does not change.
+fn set_leaf(keys: &mut [u64], cap: usize, slot: usize, key: u64) {
+    let mut i = cap + slot;
+    keys[i] = key;
+    while i > 1 {
+        i >>= 1;
+        let m = keys[2 * i].max(keys[2 * i + 1]);
+        if keys[i] == m {
+            break;
+        }
+        keys[i] = m;
+    }
+}
+
+/// Recomputes, bottom-up, every internal node of a heap-shaped key array
+/// with `cap` leaves that sits above one of the leaves `0..hi`. Nodes
+/// entirely right of `hi` are left alone.
+fn heapify(keys: &mut [u64], cap: usize, hi: usize) {
+    if hi == 0 {
+        return;
+    }
+    let (mut lo, mut up) = (cap, cap + hi - 1);
+    while lo > 1 {
+        lo >>= 1;
+        up >>= 1;
+        for i in lo..=up {
+            keys[i] = keys[2 * i].max(keys[2 * i + 1]);
+        }
+    }
 }
 
 impl FitTree {
@@ -67,23 +100,24 @@ impl FitTree {
         FitTree::default()
     }
 
-    /// An empty tree pre-sized for `n` slots.
+    /// An empty tree with room reserved for `n` slots: pushes up to `n`
+    /// never reallocate. The reservation is not written, so a large hint
+    /// costs no page faults until slots are actually used.
     pub fn with_capacity(n: usize) -> FitTree {
         let mut t = FitTree::new();
         if n > 0 {
-            t.cap = n.next_power_of_two();
-            t.keys = vec![0; 2 * t.cap];
+            t.keys = Vec::with_capacity(2 * n.next_power_of_two());
         }
         t
     }
 
-    /// Number of slots ever allocated (closed slots included).
+    /// Number of slots allocated (closed slots included).
     #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no slot was ever allocated.
+    /// Whether no slot is allocated.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -100,8 +134,8 @@ impl FitTree {
         let slot = self.len;
         self.len += 1;
         self.set_key(slot, remaining + 1);
-        for d in 0..self.planes.len() {
-            self.set_plane_key(d, slot, SIZE_SCALE + 1);
+        for plane in &mut self.planes {
+            set_leaf(plane, self.cap, slot, SIZE_SCALE + 1);
         }
         slot
     }
@@ -117,8 +151,8 @@ impl FitTree {
     /// once [`FitTree::ensure_dims`] grows the tree).
     pub fn set_remaining_vec(&mut self, slot: usize, remaining: &[u64; MAX_DIMS]) {
         self.set_key(slot, remaining[0] + 1);
-        for d in 0..self.planes.len() {
-            self.set_plane_key(d, slot, remaining[d + 1] + 1);
+        for (plane, &rem) in self.planes.iter_mut().zip(&remaining[1..]) {
+            set_leaf(plane, self.cap, slot, rem + 1);
         }
     }
 
@@ -126,8 +160,8 @@ impl FitTree {
     #[inline]
     pub fn close(&mut self, slot: usize) {
         self.set_key(slot, 0);
-        for d in 0..self.planes.len() {
-            self.set_plane_key(d, slot, 0);
+        for plane in &mut self.planes {
+            set_leaf(plane, self.cap, slot, 0);
         }
     }
 
@@ -154,9 +188,7 @@ impl FitTree {
                     plane[self.cap + slot] = SIZE_SCALE + 1;
                 }
             }
-            for i in (1..self.cap).rev() {
-                plane[i] = plane[2 * i].max(plane[2 * i + 1]);
-            }
+            heapify(&mut plane, self.cap, self.len);
             self.planes.push(plane);
         }
     }
@@ -341,51 +373,45 @@ impl FitTree {
 
     fn set_key(&mut self, slot: usize, key: u64) {
         assert!(slot < self.len, "slot {slot} out of range {}", self.len);
-        let mut i = self.cap + slot;
-        self.keys[i] = key;
-        while i > 1 {
-            i >>= 1;
-            let m = self.keys[2 * i].max(self.keys[2 * i + 1]);
-            if self.keys[i] == m {
-                break;
-            }
-            self.keys[i] = m;
-        }
+        set_leaf(&mut self.keys, self.cap, slot, key);
     }
 
-    fn set_plane_key(&mut self, d: usize, slot: usize, key: u64) {
-        let cap = self.cap;
-        let keys = &mut self.planes[d];
-        let mut i = cap + slot;
-        keys[i] = key;
-        while i > 1 {
-            i >>= 1;
-            let m = keys[2 * i].max(keys[2 * i + 1]);
-            if keys[i] == m {
-                break;
-            }
-            keys[i] = m;
-        }
-    }
-
+    /// Doubles the leaf count in place, within any reserved capacity: each
+    /// plane's leaves move into the new half (past the old leaves, so the
+    /// copy never overlaps) and one pass rebuilds the internal nodes.
     fn grow(&mut self) {
-        let old_cap = self.cap;
-        let new_cap = if old_cap == 0 { 1 } else { old_cap * 2 };
-        let len = self.len;
-        let regrow = |old: &[u64]| {
-            let mut keys = vec![0u64; 2 * new_cap];
-            keys[new_cap..new_cap + len].copy_from_slice(&old[old_cap..old_cap + len]);
-            for i in (1..new_cap).rev() {
-                keys[i] = keys[2 * i].max(keys[2 * i + 1]);
-            }
-            keys
-        };
-        self.keys = regrow(&self.keys);
-        for plane in &mut self.planes {
-            let grown = regrow(plane);
-            *plane = grown;
+        let (old_cap, len) = (self.cap, self.len);
+        let cap = (2 * old_cap).max(1);
+        for keys in std::iter::once(&mut self.keys).chain(&mut self.planes) {
+            keys.resize(2 * cap, 0);
+            keys.copy_within(old_cap..old_cap + len, cap);
+            heapify(keys, cap, cap);
         }
-        self.cap = new_cap;
+        self.cap = cap;
+    }
+
+    /// Compacts the tree to its open slots: they keep their order and
+    /// keys but move to slots `0..k`, and every other slot is released.
+    /// `kept(old, new)` reports each open slot's old and new number, in
+    /// order. The buffers are rewritten in place with one bottom-up pass
+    /// over the compacted range, so this allocates nothing.
+    pub(crate) fn retain_open(&mut self, mut kept: impl FnMut(usize, usize)) {
+        let (cap, old_len) = (self.cap, self.len);
+        let mut new = 0;
+        for old in 0..old_len {
+            if self.keys[cap + old] > 0 {
+                for keys in std::iter::once(&mut self.keys).chain(&mut self.planes) {
+                    keys[cap + new] = keys[cap + old];
+                }
+                kept(old, new);
+                new += 1;
+            }
+        }
+        self.len = new;
+        for keys in std::iter::once(&mut self.keys).chain(&mut self.planes) {
+            keys[cap + new..cap + old_len].fill(0);
+            heapify(keys, cap, old_len);
+        }
     }
 }
 
@@ -401,19 +427,22 @@ impl FitTree {
 /// O(log k), where `k` is the number of bins the class held since its last
 /// internal compaction.
 ///
-/// Slots are assigned in insertion order; inserting bins in ascending
-/// [`BinId`] order (bins join their partition as they open, and engine ids
-/// are allocated sequentially) makes the leftmost qualifying slot the
-/// earliest-opened bin — identical to the linear scan over the class's
-/// bin list. Removed slots are tombstoned in the tree and compacted away
-/// once they outnumber live bins.
+/// Members are addressed by the *slot* [`SubsetFitTree::insert`] returns;
+/// the owner keeps it (the store keeps it beside each bin's partition) and
+/// follows the renumbering [`SubsetFitTree::remove`] reports when it
+/// compacts. Slots are assigned in insertion order; inserting bins in
+/// ascending [`BinId`] order (bins join their partition as they open, and
+/// engine ids are allocated sequentially) makes the leftmost qualifying
+/// slot the earliest-opened bin — identical to the linear scan over the
+/// class's bin list. Removed slots are tombstoned in the tree and
+/// compacted away once they outnumber live bins.
 #[derive(Debug, Default, Clone)]
 pub struct SubsetFitTree {
     tree: FitTree,
     /// Slot → bin (parallel to the tree's leaves, including closed slots).
     bins: Vec<BinId>,
-    /// Bin → slot, for point updates.
-    slot_of: HashMap<BinId, usize>,
+    /// Number of live (inserted, not removed) slots.
+    live: usize,
 }
 
 impl SubsetFitTree {
@@ -425,60 +454,75 @@ impl SubsetFitTree {
     /// Number of live (not removed) bins in the subset.
     #[inline]
     pub fn len(&self) -> usize {
-        self.slot_of.len()
+        self.live
     }
 
     /// Whether the subset has no live bins.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
-    }
-
-    /// Whether `bin` is currently in the subset.
-    #[inline]
-    pub fn contains(&self, bin: BinId) -> bool {
-        self.slot_of.contains_key(&bin)
+        self.live == 0
     }
 
     /// Adds a bin with `remaining` raw capacity in dimension 0 (full
-    /// capacity in any extra dimensions). Bins must be inserted in
-    /// ascending id order (the order the engine allocates them), which is
-    /// what makes tree queries agree with an opening-order linear scan.
-    pub fn insert(&mut self, bin: BinId, remaining: u64) {
+    /// capacity in any extra dimensions) and returns its slot. Bins must
+    /// be inserted in ascending id order (the order the engine allocates
+    /// them), which is what makes tree queries agree with an opening-order
+    /// linear scan.
+    pub fn insert(&mut self, bin: BinId, remaining: u64) -> usize {
         debug_assert!(
             self.bins.last().is_none_or(|&last| last < bin),
             "subset insertions must follow opening order: {bin} after {:?}",
             self.bins.last()
         );
-        debug_assert!(!self.contains(bin), "{bin} inserted twice");
         let slot = self.tree.push(remaining);
         debug_assert_eq!(slot, self.bins.len());
         self.bins.push(bin);
-        self.slot_of.insert(bin, slot);
+        self.live += 1;
+        slot
     }
 
-    /// Sets a member bin's remaining capacity, one component per
-    /// dimension, first materializing key planes up to `dims` dimensions
-    /// (see [`FitTree::ensure_dims`]).
+    /// Sets the remaining capacity of the member at `slot`, one component
+    /// per dimension, first materializing key planes up to `dims`
+    /// dimensions (see [`FitTree::ensure_dims`]).
     ///
     /// # Panics
-    /// Panics if `bin` is not in the subset.
-    pub fn set_remaining_vec(&mut self, bin: BinId, remaining: &[u64; MAX_DIMS], dims: usize) {
+    /// Panics if `slot` was never allocated.
+    #[inline]
+    pub fn set_remaining_vec(&mut self, slot: usize, remaining: &[u64; MAX_DIMS], dims: usize) {
         self.tree.ensure_dims(dims);
-        let slot = self.slot_of[&bin];
         self.tree.set_remaining_vec(slot, remaining);
     }
 
-    /// Removes a bin. Unknown bins are ignored.
-    pub fn remove(&mut self, bin: BinId) {
-        let Some(slot) = self.slot_of.remove(&bin) else {
+    /// Removes the member at `slot` (a slot that is already a tombstone
+    /// is left alone).
+    /// Once tombstones outnumber live members the tree compacts in place,
+    /// and `moved(bin, new_slot)` reports every member whose slot changed;
+    /// all other slots stay valid.
+    pub fn remove(&mut self, slot: usize, moved: impl FnMut(BinId, usize)) {
+        if self.tree.remaining(slot).is_none() {
             return;
-        };
-        self.tree.close(slot);
-        // Compact once tombstones dominate: amortized O(1) per removal.
-        if self.slot_of.len() * 2 < self.tree.len() && self.tree.len() > 64 {
-            self.rebuild(|bin| bin);
         }
+        self.tree.close(slot);
+        self.live -= 1;
+        // Compact once tombstones dominate: amortized O(1) per removal.
+        if self.live * 2 < self.tree.len() && self.tree.len() > 64 {
+            self.compact(|bin| bin, moved);
+        }
+    }
+
+    /// Compacts the tree to its live slots in place, naming each member
+    /// `rename(bin)` and reporting `moved(bin, new_slot)` for every member
+    /// whose slot changed.
+    fn compact(&mut self, rename: impl Fn(BinId) -> BinId, mut moved: impl FnMut(BinId, usize)) {
+        let bins = &mut self.bins;
+        self.tree.retain_open(|old, new| {
+            let bin = rename(bins[old]);
+            bins[new] = bin;
+            if old != new {
+                moved(bin, new);
+            }
+        });
+        bins.truncate(self.tree.len());
     }
 
     /// Earliest-inserted live bin with remaining capacity ≥ `size` in
@@ -496,43 +540,28 @@ impl SubsetFitTree {
             .filter_map(move |slot| self.tree.remaining(slot).map(|rem| (self.bins[slot], rem)))
     }
 
-    /// Renames every live bin after a bin-store compaction:
+    /// Renames every member after a bin-store compaction:
     /// `old_to_new[old.index()]` is the bin's new id (`BinId(u32::MAX)`
     /// marks a dropped closed bin — never a live member, since closing
-    /// removes a bin first). The renumbering preserves opening order, so
-    /// rebuilding in slot order keeps insertion order ascending and
-    /// first-fit answers unchanged.
-    pub fn remap_bins(&mut self, old_to_new: &[BinId]) {
-        self.rebuild(|old| {
+    /// removes a bin first). Tombstones are compacted away in the same
+    /// pass, in place; `moved(bin, new_slot)` reports (under the new name)
+    /// every member whose slot changed. The renumbering preserves opening
+    /// order, so the slot order and every first-fit answer are unchanged.
+    pub fn remap_bins(&mut self, old_to_new: &[BinId], moved: impl FnMut(BinId, usize)) {
+        let rename = |old: BinId| {
             let new = old_to_new[old.index()];
             debug_assert!(new != BinId(u32::MAX), "live bin dropped by compaction");
             new
-        });
+        };
+        self.compact(rename, moved);
     }
 
-    /// Rebuilds the tree over the live slots only, in slot order, naming
-    /// each bin `rename(bin)`.
-    fn rebuild(&mut self, rename: impl Fn(BinId) -> BinId) {
-        let nd = self.tree.dims();
-        let live: Vec<(BinId, [u64; MAX_DIMS])> = (0..self.tree.len())
-            .filter_map(|slot| {
-                self.tree
-                    .remaining_vec(slot)
-                    .map(|rem| (rename(self.bins[slot]), rem))
-            })
-            .collect();
-        let mut tree = FitTree::with_capacity(live.len());
-        tree.ensure_dims(nd);
-        let mut bins = Vec::with_capacity(live.len());
-        self.slot_of.clear();
-        for (bin, rem) in live {
-            let slot = tree.push(rem[0]);
-            tree.set_remaining_vec(slot, &rem);
-            bins.push(bin);
-            self.slot_of.insert(bin, slot);
-        }
-        self.tree = tree;
-        self.bins = bins;
+    /// Readies an empty subset for reuse by another class, keeping its
+    /// buffers (and any key planes): its tombstones are dropped, so it
+    /// answers every query exactly like a new one.
+    pub fn clear(&mut self) {
+        debug_assert!(self.is_empty(), "only an empty subset is recycled");
+        self.compact(|bin| bin, |_, _| {});
     }
 }
 
@@ -654,30 +683,41 @@ mod tests {
     fn subset_tracks_updates_and_removals() {
         let mut s = SubsetFitTree::new();
         let half = Size::from_ratio(1, 2);
-        s.insert(BinId(3), SIZE_SCALE);
+        let b3 = s.insert(BinId(3), SIZE_SCALE);
         s.insert(BinId(7), SIZE_SCALE);
         assert_eq!(s.first_fit(half), Some(BinId(3)));
-        s.set_remaining_vec(BinId(3), &rem0(SIZE_SCALE / 3), 1);
+        s.set_remaining_vec(b3, &rem0(SIZE_SCALE / 3), 1);
         assert_eq!(s.first_fit(half), Some(BinId(7)));
-        s.set_remaining_vec(BinId(3), &rem0(SIZE_SCALE), 1);
+        s.set_remaining_vec(b3, &rem0(SIZE_SCALE), 1);
         assert_eq!(s.first_fit(half), Some(BinId(3)));
-        s.remove(BinId(3));
+        let no_compaction = |_: BinId, _: usize| panic!("two slots never compact");
+        s.remove(b3, no_compaction);
         assert_eq!(s.first_fit(half), Some(BinId(7)));
         assert_eq!(s.len(), 1);
-        assert!(s.contains(BinId(7)) && !s.contains(BinId(3)));
-        s.remove(BinId(99)); // unknown: ignored
+        s.remove(b3, no_compaction); // already removed: ignored
+        assert_eq!(s.len(), 1);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![(BinId(7), SIZE_SCALE)]);
+    }
+
+    /// Inserts bins `0..n` (remaining `i` in dimension 0) and returns
+    /// their slots, indexed by bin.
+    fn subset_of(s: &mut SubsetFitTree, n: u32) -> Vec<usize> {
+        (0..n).map(|i| s.insert(BinId(i), u64::from(i))).collect()
     }
 
     #[test]
     fn subset_compaction_preserves_order_and_capacities() {
         let mut s = SubsetFitTree::new();
-        for i in 0..200u32 {
-            s.insert(BinId(i), u64::from(i));
+        let mut slots = subset_of(&mut s, 200);
+        let mut moves = 0;
+        for i in 0..180 {
+            let slot = slots[i];
+            s.remove(slot, |bin, new| {
+                slots[bin.index()] = new;
+                moves += 1;
+            });
         }
-        for i in 0..180u32 {
-            s.remove(BinId(i));
-        }
+        assert!(moves > 0, "tombstones outnumbering live slots compact");
         assert_eq!(s.len(), 20);
         let live: Vec<(BinId, u64)> = s.iter().collect();
         assert_eq!(live.len(), 20);
@@ -685,8 +725,50 @@ mod tests {
             assert_eq!(bin, BinId(180 + k as u32));
             assert_eq!(rem, u64::from(180 + k as u32));
         }
-        // Queries still answer the earliest live bin after compaction.
+        // Queries still answer the earliest live bin after compaction...
         assert_eq!(s.first_fit(Size::from_raw(185)), Some(BinId(185)));
+        // ...and the reported slots still address their bins.
+        s.set_remaining_vec(slots[190], &rem0(SIZE_SCALE), 1);
+        assert_eq!(s.first_fit(Size::from_raw(500)), Some(BinId(190)));
+        s.remove(slots[190], |_, _| {});
+        assert_eq!(s.first_fit(Size::from_raw(500)), None);
+        assert_eq!(s.len(), 19);
+    }
+
+    #[test]
+    fn retain_open_compacts_in_place_and_keeps_order() {
+        let mut t = FitTree::with_capacity(8);
+        t.ensure_dims(2);
+        for i in 0..8u64 {
+            let slot = t.push(i);
+            t.set_remaining_vec(slot, &[i, 100 + i, SIZE_SCALE]);
+        }
+        for slot in [0, 2, 3, 6] {
+            t.close(slot);
+        }
+        let mut moves = Vec::new();
+        t.retain_open(|old, new| moves.push((old, new)));
+        assert_eq!(moves, [(1, 0), (4, 1), (5, 2), (7, 3)]);
+        assert_eq!(t.len(), 4);
+        let left: Vec<_> = (0..4)
+            .map(|s| t.remaining_vec(s).unwrap()[..2].to_vec())
+            .collect();
+        assert_eq!(left, [[1, 101], [4, 104], [5, 105], [7, 107]]);
+        assert_eq!(t.first_fit(5), Some(2));
+        assert_eq!(t.first_fit(8), None);
+        assert_eq!(t.first_fit_vec(vec2(4, 105)), Some(2));
+        // Released slots are reused by the next pushes, in order.
+        assert_eq!(t.push(50), 4);
+        assert_eq!(t.first_fit(8), Some(4));
+        // With every slot closed, compaction empties the tree for reuse.
+        for slot in 0..t.len() {
+            t.close(slot);
+        }
+        t.retain_open(|_, _| panic!("no open slot to keep"));
+        assert!(t.is_empty());
+        assert_eq!(t.first_fit(0), None);
+        assert_eq!(t.push(3), 0);
+        assert_eq!(t.remaining_vec(0), Some([3, SIZE_SCALE, SIZE_SCALE]));
     }
 
     fn vec2(a: u64, b: u64) -> SizeVec {
@@ -801,19 +883,20 @@ mod tests {
             r[1] = b;
             r
         };
-        for i in 0..200u32 {
-            s.insert(BinId(i), SIZE_SCALE);
-            s.set_remaining_vec(BinId(i), &rem(u64::from(i), SIZE_SCALE / 2), 2);
+        let mut slots = subset_of(&mut s, 200);
+        for (i, &slot) in slots.iter().enumerate() {
+            s.set_remaining_vec(slot, &rem(i as u64, SIZE_SCALE / 2), 2);
         }
-        for i in 0..180u32 {
-            s.remove(BinId(i));
+        for i in 0..180 {
+            let slot = slots[i];
+            s.remove(slot, |bin, new| slots[bin.index()] = new);
         }
         // Remainders: dim0 = i, dim1 = SIZE_SCALE/2, surviving compaction.
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2)), Some(BinId(185)));
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2 + 1)), None);
-        s.set_remaining_vec(BinId(185), &rem(185, 3 * SIZE_SCALE / 4), 2);
+        s.set_remaining_vec(slots[185], &rem(185, 3 * SIZE_SCALE / 4), 2);
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2 + 1)), Some(BinId(185)));
-        s.set_remaining_vec(BinId(185), &rem(185, SIZE_SCALE / 2), 2);
+        s.set_remaining_vec(slots[185], &rem(185, SIZE_SCALE / 2), 2);
         assert_eq!(s.first_fit(vec2(185, SIZE_SCALE / 2 + 1)), None);
     }
 }

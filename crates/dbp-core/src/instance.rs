@@ -37,6 +37,13 @@ impl InstanceBuilder {
         }
     }
 
+    /// A builder over rows already numbered `id == index` (the engine's
+    /// row table), taken over without copying.
+    pub(crate) fn from_rows(items: Vec<Item>) -> InstanceBuilder {
+        debug_assert!(items.iter().enumerate().all(|(i, it)| it.id.index() == i));
+        InstanceBuilder { items }
+    }
+
     /// Adds an item active on `[arrival, arrival + dur)`, returning its id.
     pub fn push(&mut self, arrival: Time, dur: Dur, size: impl Into<SizeVec>) -> ItemId {
         let id = ItemId(u32::try_from(self.items.len()).expect("too many items"));
@@ -81,12 +88,14 @@ impl InstanceBuilder {
             }
         }
         let mut items = self.items;
-        // Stable sort: items sharing an arrival keep their insertion order.
-        items.sort_by_key(|it| it.arrival);
-        // Re-number so id == index holds after sorting; the pre-sort ids are
-        // builder-internal.
-        for (idx, it) in items.iter_mut().enumerate() {
-            it.id = ItemId(idx as u32);
+        // Pushed ids equal insertion indices, so already-sorted items keep
+        // them; otherwise a stable sort (items sharing an arrival keep
+        // their insertion order) and a renumbering restore id == index.
+        if !items.is_sorted_by_key(|it| it.arrival) {
+            items.sort_by_key(|it| it.arrival);
+            for (idx, it) in items.iter_mut().enumerate() {
+                it.id = ItemId(idx as u32);
+            }
         }
         Ok(Instance { items })
     }
@@ -411,6 +420,31 @@ mod tests {
         for (idx, it) in inst.items().iter().enumerate() {
             assert_eq!(it.id.index(), idx);
         }
+    }
+
+    #[test]
+    fn sorted_input_with_ties_builds_like_the_sorting_path() {
+        // Arrival ties at t = 5, pushed already sorted: no sort runs, the
+        // pushed order and ids stand.
+        let rows = [(0, 4, 1), (5, 1, 2), (5, 3, 1), (5, 2, 3), (9, 1, 1)];
+        let mut sorted = InstanceBuilder::new();
+        for &(a, d, n) in &rows {
+            sorted.push(Time(a), Dur(d), sz(n, 4));
+        }
+        let inst = sorted.build().unwrap();
+        let want: Vec<Item> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, d, n))| Item::new(ItemId(i as u32), Time(a), Time(a + d), sz(n, 4)))
+            .collect();
+        assert_eq!(inst.items(), &want[..]);
+        // The same rows with the last one pushed first take the stable
+        // sort and come out identical, ties in their pushed order.
+        let mut shuffled = InstanceBuilder::new();
+        for &(a, d, n) in rows.iter().rev().take(1).chain(&rows[..4]) {
+            shuffled.push(Time(a), Dur(d), sz(n, 4));
+        }
+        assert_eq!(shuffled.build().unwrap(), inst);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use crate::algorithm::SimView;
 use crate::bin_state::BinId;
-use crate::item::ItemId;
+use crate::item::{Item, ItemId};
 use crate::size::SizeVec;
 use crate::time::Time;
 
@@ -259,27 +259,19 @@ impl RecourseReport {
 
 /// The read-only view handed to
 /// [`crate::algorithm::OnlineAlgorithm::propose_migration`]: everything a
-/// [`SimView`] offers, plus the engine's per-item size and departure
-/// columns so repacking decisions (which bin can be emptied, where its
+/// [`SimView`] offers, plus the engine's item rows (sizes and
+/// departures) so repacking decisions (which bin can be emptied, where its
 /// residents fit, who outlives whom) need no algorithm-side mirror.
 #[derive(Debug, Clone, Copy)]
 pub struct RecourseView<'a> {
     sim: SimView<'a>,
-    sizes: &'a [SizeVec],
-    departures: &'a [Time],
+    /// The engine's row table (`items[i].id == ItemId(i)`).
+    items: &'a [Item],
 }
 
 impl<'a> RecourseView<'a> {
-    pub(crate) fn new(
-        sim: SimView<'a>,
-        sizes: &'a [SizeVec],
-        departures: &'a [Time],
-    ) -> RecourseView<'a> {
-        RecourseView {
-            sim,
-            sizes,
-            departures,
-        }
+    pub(crate) fn new(sim: SimView<'a>, items: &'a [Item]) -> RecourseView<'a> {
+        RecourseView { sim, items }
     }
 
     /// The plain simulation view (open bins, First-Fit queries, the clock).
@@ -297,7 +289,7 @@ impl<'a> RecourseView<'a> {
     /// The size of any item the engine has ever admitted.
     #[inline]
     pub fn item_size(&self, item: ItemId) -> Option<SizeVec> {
-        self.sizes.get(item.index()).copied()
+        self.items.get(item.index()).map(|it| it.size)
     }
 
     /// The engine's recorded departure for an item: the clairvoyant
@@ -305,7 +297,7 @@ impl<'a> RecourseView<'a> {
     /// the truncated displacement time for rows a crash evicted.
     #[inline]
     pub fn item_departure(&self, item: ItemId) -> Option<Time> {
-        self.departures.get(item.index()).copied()
+        self.items.get(item.index()).map(|it| it.departure)
     }
 
     /// The resident items of `bin` as `(id, size, departure)`, sorted by
@@ -316,7 +308,10 @@ impl<'a> RecourseView<'a> {
             Some(rec) if rec.is_open() => rec
                 .items
                 .iter()
-                .map(|&id| (id, self.sizes[id.index()], self.departures[id.index()]))
+                .map(|&id| {
+                    let it = &self.items[id.index()];
+                    (id, it.size, it.departure)
+                })
                 .collect(),
             _ => Vec::new(),
         };
