@@ -39,7 +39,7 @@ use dbp_bench::{bracket, sweep};
 use dbp_core::audit::InvariantAuditor;
 use dbp_core::size::{SizeVec, MAX_DIMS};
 use dbp_core::time::Dur;
-use dbp_core::{compare_goals, engine, FailurePlan, Instance, RecourseBudget, RetryPolicy};
+use dbp_core::{compare_goals, engine, FailurePlan, Instance, SimConfig, SIM_FLAGS};
 use dbp_workloads::parse_trace;
 
 fn main() {
@@ -50,11 +50,8 @@ fn main() {
     let mut momentary = false;
     let mut effort = bracket::Effort::Cached;
     let mut cache_dir: Option<String> = None;
-    let mut fail_rate = 0.0f64;
-    let mut fail_seed = 4242u64;
     let mut dims = 1usize;
-    let mut retry = RetryPolicy::default();
-    let mut recourse = RecourseBudget::None;
+    let mut sim_flags: Vec<(String, Option<String>)> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
@@ -112,54 +109,7 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--fail-rate" => {
-                let raw = argv.next().unwrap_or_else(|| {
-                    eprintln!("--fail-rate requires a probability in [0, 1]");
-                    std::process::exit(2);
-                });
-                fail_rate = raw
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .unwrap_or_else(|| {
-                        eprintln!("bad fail rate '{raw}' (expected a probability in [0, 1])");
-                        std::process::exit(2);
-                    });
-            }
-            "--fail-seed" => {
-                let raw = argv.next().unwrap_or_else(|| {
-                    eprintln!("--fail-seed requires an integer");
-                    std::process::exit(2);
-                });
-                fail_seed = raw.parse::<u64>().unwrap_or_else(|_| {
-                    eprintln!("bad fail seed '{raw}' (expected u64)");
-                    std::process::exit(2);
-                });
-            }
-            "--retry" => {
-                let raw = argv.next().unwrap_or_else(|| {
-                    eprintln!("--retry requires immediate|fixed=<ticks>|exp=<ticks>");
-                    std::process::exit(2);
-                });
-                retry = RetryPolicy::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("bad retry policy '{raw}' (immediate|fixed=<ticks>|exp=<ticks>)");
-                    std::process::exit(2);
-                });
-            }
-            "--recourse" => {
-                let raw = argv.next().unwrap_or_else(|| {
-                    eprintln!(
-                        "--recourse requires none|epoch=<k>|amortized=<earn>[/<burst>]|unlimited"
-                    );
-                    std::process::exit(2);
-                });
-                recourse = RecourseBudget::parse(&raw).unwrap_or_else(|e| {
-                    eprintln!(
-                        "bad recourse budget '{raw}': {e} (none|epoch=<k>|amortized=<earn>[/<burst>]|unlimited)"
-                    );
-                    std::process::exit(2);
-                });
-            }
+            flag if SIM_FLAGS.contains(&flag) => sim_flags.push((a.clone(), argv.next())),
             "--help" | "-h" => {
                 println!(
                     "usage: dbp-pack <trace.csv> [--algo NAME]... [--gantt] [--momentary]\n\
@@ -175,6 +125,13 @@ fn main() {
             other => path = Some(other.to_string()),
         }
     }
+    // The flags are checked before the trace is read; the seeded plan's
+    // mtbf is set from the trace span once it is.
+    let flags = sim_flags.iter().map(|(f, v)| (f.as_str(), v.as_deref()));
+    let mut sim = SimConfig::from_flags(flags, 4242, Dur(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let svc = bracket::configure(effort, cache_dir.as_deref().map(std::path::Path::new));
     let Some(path) = path else {
         eprintln!("usage: dbp-pack <trace.csv> [--algo NAME]... (see --help)");
@@ -206,6 +163,12 @@ fn main() {
             )
         }))
         .expect("diagonal lift preserves item validity");
+    }
+
+    if let FailurePlan::Seeded { mtbf, .. } = &mut sim.failures {
+        // Doom delays are uniform in [1, mtbf]; tying mtbf to the trace
+        // span keeps the storm landing inside the run for any input scale.
+        *mtbf = Dur(inst.span_dur().ticks().max(1));
     }
 
     // The dims note only appears for lifted runs so D = 1 output stays
@@ -244,20 +207,18 @@ fn main() {
         "fast%",
         "scans",
     ];
-    let failing = fail_rate > 0.0;
-    let repacking = !recourse.is_none();
-    // Doom delays are uniform in [1, mtbf]; tying mtbf to the trace span
-    // keeps the storm landing inside the run for any input scale.
-    let mtbf = Dur(inst.span_dur().ticks().max(1));
-    if failing {
+    let failing = !sim.failures.is_none();
+    let repacking = !sim.recourse.is_none();
+    if let FailurePlan::Seeded { rate, seed, mtbf } = sim.failures {
         println!(
-            "failure plan: per-bin rate {fail_rate}, seed {fail_seed}, mtbf {} ticks, retry {retry}\n",
-            mtbf.ticks()
+            "failure plan: per-bin rate {rate}, seed {seed}, mtbf {} ticks, retry {}\n",
+            mtbf.ticks(),
+            sim.retry
         );
         header.extend(["failures", "migrations", "drops", "degraded"]);
     }
     if repacking {
-        println!("recourse budget: {recourse}\n");
+        println!("recourse budget: {}\n", sim.recourse);
         header.extend(["moves", "closures", "epochs"]);
     }
     if momentary {
@@ -270,25 +231,13 @@ fn main() {
             std::process::exit(2);
         };
         let res = if failing || repacking {
-            let plan = if failing {
-                FailurePlan::seeded(fail_rate, fail_seed, mtbf)
-            } else {
-                FailurePlan::None
-            };
             let mut auditor = InvariantAuditor::new();
-            auditor.expect_budget(recourse);
-            let res = engine::run_with_failures_recourse(
-                &inst,
-                algo,
-                plan,
-                retry,
-                recourse,
-                &mut auditor,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("{name}: illegal move: {e}");
-                std::process::exit(1);
-            });
+            auditor.expect_budget(sim.recourse);
+            let res = engine::run_with_config(&inst, algo, sim.clone(), &mut auditor)
+                .unwrap_or_else(|e| {
+                    eprintln!("{name}: illegal move: {e}");
+                    std::process::exit(1);
+                });
             if let Err(v) = auditor.verify_result(&res) {
                 eprintln!("{name}: invariant violation: {v}");
                 std::process::exit(1);

@@ -19,10 +19,7 @@
 use std::process::ExitCode;
 
 use dbp_core::trace::{parse_jsonl, EngineEvent, EventSink, JsonlSink};
-use dbp_core::{
-    engine, BinStore, Dur, FailurePlan, InvariantAuditor, ItemId, RecourseBudget, RetryPolicy,
-    SizeVec,
-};
+use dbp_core::{engine, BinStore, Dur, InvariantAuditor, ItemId, SimConfig, SizeVec, SIM_FLAGS};
 use dbp_workloads::parse_trace;
 
 fn usage() -> ! {
@@ -57,39 +54,25 @@ fn record(args: &[String]) -> ExitCode {
     let mut input = None;
     let mut algo_name = None;
     let mut out_path = None;
-    let mut fail_rate = 0.0f64;
-    let mut fail_seed = 0u64;
     let mut fail_mtbf = 1000u64;
-    let mut retry = RetryPolicy::Immediate;
-    let mut recourse = RecourseBudget::None;
+    let mut sim_flags = Vec::new();
     let next = |it: &mut std::slice::Iter<String>| it.next().cloned().unwrap_or_else(|| usage());
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--algo" => algo_name = Some(next(&mut it)),
             "-o" | "--out" => out_path = Some(next(&mut it)),
-            "--fail-rate" => fail_rate = next(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--fail-seed" => fail_seed = next(&mut it).parse().unwrap_or_else(|_| usage()),
             "--fail-mtbf" => fail_mtbf = next(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--recourse" => {
-                let raw = next(&mut it);
-                recourse = RecourseBudget::parse(&raw).unwrap_or_else(|e| {
-                    eprintln!(
-                        "bad recourse budget '{raw}': {e} (none|epoch=<k>|amortized=<earn>[/<burst>]|unlimited)"
-                    );
-                    std::process::exit(2);
-                });
-            }
-            "--retry" => {
-                let raw = next(&mut it);
-                retry = RetryPolicy::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("bad retry policy '{raw}' (immediate|fixed=<ticks>|exp=<ticks>)");
-                    std::process::exit(2);
-                });
+            flag if SIM_FLAGS.contains(&flag) => {
+                sim_flags.push((flag, it.next().map(String::as_str)))
             }
             other => input = Some(other.to_string()),
         }
     }
+    let sim = SimConfig::from_flags(sim_flags, 0, Dur(fail_mtbf)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let (Some(input), Some(algo_name)) = (input, algo_name) else {
         usage()
     };
@@ -109,17 +92,12 @@ fn record(args: &[String]) -> ExitCode {
         })),
         None => Box::new(std::io::stdout().lock()),
     };
-    let plan = if fail_rate > 0.0 {
-        FailurePlan::seeded(fail_rate, fail_seed, Dur(fail_mtbf))
-    } else {
-        FailurePlan::None
-    };
+    let recourse = sim.recourse;
     let mut sink = JsonlSink::new(std::io::BufWriter::new(out));
-    let res = engine::run_with_failures_recourse(&inst, algo, plan, retry, recourse, &mut sink)
-        .unwrap_or_else(|e| {
-            eprintln!("{algo_name}: illegal move: {e}");
-            std::process::exit(1);
-        });
+    let res = engine::run_with_config(&inst, algo, sim, &mut sink).unwrap_or_else(|e| {
+        eprintln!("{algo_name}: illegal move: {e}");
+        std::process::exit(1);
+    });
     let written = sink.written();
     if let Err(e) = sink.finish() {
         if dbp_bench::pipe::is_broken_pipe(&e) {

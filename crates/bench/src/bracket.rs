@@ -35,6 +35,7 @@
 //! callers keep working; CLIs configure the global with
 //! `--bracket-effort` / `--bracket-cache`.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fs;
 use std::io::{BufWriter, Write as _};
@@ -327,9 +328,13 @@ pub struct BracketService {
 impl BracketService {
     /// A service with an in-memory cache only.
     pub fn new(effort: Effort) -> BracketService {
+        // One hasher state for every shard: shards are picked by digest
+        // bits, not by the maps' hashes, and seeding one state instead of
+        // sixteen keeps construction cheap.
+        let hasher = RandomState::new();
         BracketService {
             effort,
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::with_hasher(hasher.clone()))),
             spill: None,
             computed: AtomicU64::new(0),
             ladder_runs: AtomicU64::new(0),

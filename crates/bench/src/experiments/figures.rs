@@ -5,6 +5,7 @@ use dbp_analysis::table::Table;
 use dbp_core::engine::{self, InteractiveSim};
 use dbp_core::size::Size;
 use dbp_core::time::{Dur, Time};
+use dbp_core::{NoopSink, SimConfig};
 
 use super::ExperimentReport;
 
@@ -14,7 +15,7 @@ pub fn fig1() -> ExperimentReport {
     // Drive CDFF interactively on a crafted aligned input: at t = 0 heavy
     // waves of every class arrive so rows 0..4 each open multiple bins —
     // the structure the paper's Figure 1 depicts.
-    let mut sim = InteractiveSim::new(dbp_algos::Cdff::new());
+    let mut sim = InteractiveSim::new(dbp_algos::Cdff::new(), 0, SimConfig::default(), NoopSink);
     let n = 4u32;
     sim.advance_to(Time(0));
     for i in (0..=n).rev() {

@@ -12,6 +12,7 @@ use dbp_core::bounds::LowerBounds;
 use dbp_core::engine;
 use dbp_core::reduction::reduce;
 use dbp_core::time::Time;
+use dbp_core::{NoopSink, SimConfig};
 use dbp_workloads::adversary::{run_adversary, AdversaryConfig};
 use dbp_workloads::{random_general, sigma_mu, GeneralConfig};
 
@@ -97,7 +98,7 @@ pub fn lemma35() -> ExperimentReport {
         let out = run_adversary(HybridAlgorithm::new(), &cfg).expect("legal");
         // Replay the *same* instance, sampling k_t this time.
         let mut ha = HybridAlgorithm::new();
-        let mut sim = InteractiveSim::new(&mut ha);
+        let mut sim = InteractiveSim::new(&mut ha, 0, SimConfig::default(), NoopSink);
         let mut samples: Vec<(Time, usize)> = Vec::new();
         let items = out.instance.items();
         let mut idx = 0;
@@ -311,7 +312,7 @@ pub fn lemma512() -> ExperimentReport {
         // Drive CDFF item by item, recording each item's row and taking a
         // rows snapshot after every moment's arrivals.
         let mut algo = Cdff::new();
-        let mut sim = InteractiveSim::new(&mut algo);
+        let mut sim = InteractiveSim::new(&mut algo, 0, SimConfig::default(), NoopSink);
         let mut item_row: Vec<u32> = Vec::with_capacity(inst.len());
         let mut snapshots: Vec<(Time, Vec<(u32, usize)>)> = Vec::new();
         let items = inst.items();

@@ -13,8 +13,9 @@
 
 use dbp_analysis::table::{f3, Table};
 use dbp_core::audit::InvariantAuditor;
-use dbp_core::engine::{self, run_with_recourse};
+use dbp_core::engine::{self, run_with_config};
 use dbp_core::recourse::RecourseBudget;
+use dbp_core::SimConfig;
 use dbp_workloads::{cloud_trace, CloudConfig};
 
 use crate::bracket;
@@ -37,7 +38,8 @@ pub fn recourse() -> ExperimentReport {
                 let algo = dbp_algos::by_name(name).expect("registry");
                 let mut auditor = InvariantAuditor::new();
                 auditor.expect_budget(budget);
-                let res = run_with_recourse(&inst, algo, budget, &mut auditor).expect("legal run");
+                let res = run_with_config(&inst, algo, SimConfig::repacking(budget), &mut auditor)
+                    .expect("legal run");
                 if let Err(v) = auditor.verify_result(&res) {
                     panic!("{name} under {spec}: {v}");
                 }

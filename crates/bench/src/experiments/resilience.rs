@@ -16,9 +16,10 @@ use std::sync::Mutex;
 
 use dbp_analysis::table::{f3, Table};
 use dbp_core::audit::InvariantAuditor;
-use dbp_core::engine::{self, run_with_failures};
+use dbp_core::engine::{self, run_with_config};
 use dbp_core::failure::{FailurePlan, RetryPolicy};
 use dbp_core::time::Dur;
+use dbp_core::SimConfig;
 use dbp_workloads::{cloud_trace, CloudConfig};
 
 use crate::bracket;
@@ -65,8 +66,8 @@ pub fn resilience() -> ExperimentReport {
                 let algo = dbp_algos::by_name(name).expect("registry");
                 let mut auditor = InvariantAuditor::new();
                 let plan = FailurePlan::seeded(rate, cfg.seed, Dur(120));
-                let res = run_with_failures(&inst, algo, plan, cfg.retry, &mut auditor)
-                    .expect("legal run");
+                let sim = SimConfig::crashing(plan, cfg.retry);
+                let res = run_with_config(&inst, algo, sim, &mut auditor).expect("legal run");
                 if let Err(v) = auditor.verify_result(&res) {
                     panic!("{name} at rate {rate}: {v}");
                 }

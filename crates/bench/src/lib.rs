@@ -1,14 +1,13 @@
 //! # dbp-bench
 //!
 //! Experiment harness for the reproduction: effort-aware OPT brackets
-//! ([`bracket`]), a crossbeam-based parallel sweep runner ([`sweep`]), the
+//! ([`bracket`]), a scoped-thread parallel sweep runner ([`sweep`]), the
 //! registry of every regenerated table/figure/lemma ([`experiments`]),
 //! manifest-driven experiment fleets ([`manifest`], the `experiments run`
 //! subcommand) and the engine-throughput program ([`throughput`], which
 //! maintains `BENCH_engine.json`). [`matrix`] offers a public
 //! algorithms × instances evaluation API. The `experiments` binary drives
-//! it; criterion benches under `benches/` measure the algorithms
-//! themselves.
+//! it.
 
 #![warn(missing_docs)]
 

@@ -53,12 +53,13 @@ use std::fmt::Write as _;
 
 use dbp_analysis::svg::svg_series;
 use dbp_analysis::table::{f3, Table};
-use dbp_core::engine::run_with_failures;
+use dbp_core::engine::run_with_config;
 use dbp_core::failure::{FailurePlan, RetryPolicy};
 use dbp_core::instance::Instance;
 use dbp_core::size::MAX_DIMS;
 use dbp_core::time::Dur;
-use dbp_core::NoopSink;
+use dbp_core::{NoopSink, SimConfig};
+use dbp_serve::protocol::push_json_str;
 use dbp_workloads::{
     random_general, vm_anti_correlated, vm_correlated, vm_skewed, GeneralConfig, VmConfig,
 };
@@ -551,15 +552,17 @@ impl FleetReport {
 fn run_cell(m: &Manifest, svc: &crate::bracket::BracketService, cell: &Cell) -> CellResult {
     let inst = build_instance(&cell.workload, cell.items, cell.mu, cell.dims, m.seed);
     let cb = svc.opt_r(&inst);
-    let plan = FailurePlan::seeded(cell.rate, m.fail_seed, Dur(m.down));
+    let sim = SimConfig::crashing(
+        FailurePlan::seeded(cell.rate, m.fail_seed, Dur(m.down)),
+        m.retry,
+    );
     let algo = dbp_algos::by_name(&cell.algo).expect("validated at parse time");
-    let run = run_with_failures(&inst, algo, plan.clone(), m.retry, NoopSink)
-        .expect("legal manifest run");
+    let run = run_with_config(&inst, algo, sim.clone(), NoopSink).expect("legal manifest run");
     let (lo, hi) = cb.ratio_bracket(run.cost);
     let scalar_max = (cell.dims > 1).then(|| {
         let max_inst = scalarized(&inst);
         let algo = dbp_algos::by_name(&cell.algo).expect("validated at parse time");
-        run_with_failures(&max_inst, algo, plan, m.retry, NoopSink)
+        run_with_config(&max_inst, algo, sim, NoopSink)
             .expect("legal scalarized run")
             .cost
             .as_bin_ticks()
@@ -721,7 +724,9 @@ fn json_f64(x: f64) -> String {
 /// Renders the per-cell results file.
 fn render_results(fleet: &str, cells: &[(String, String)]) -> String {
     let mut out = String::from("{\n  \"schema\": \"dbp-fleet-v1\",\n");
-    let _ = writeln!(out, "  \"fleet\": \"{fleet}\",");
+    out.push_str("  \"fleet\": \"");
+    push_json_str(&mut out, fleet);
+    out.push_str("\",\n");
     out.push_str("  \"cells\": [\n");
     for (i, (_, line)) in cells.iter().enumerate() {
         let comma = if i + 1 == cells.len() { "" } else { "," };

@@ -1,5 +1,5 @@
 //! The engine-throughput harness: a pinned, seeded workload driven
-//! end-to-end through [`InteractiveSim`], timed, and serialized to
+//! end-to-end through [`run_with_config`], timed, and serialized to
 //! `BENCH_engine.json` so every PR appends a comparable point.
 //!
 //! Everything here is deterministic in `(workload, config)`: the workload
@@ -20,19 +20,19 @@
 //! | `chaos_on`    | [`NoopSink`]          | seeded bin dooms |
 //! | `trace_on`    | JSONL to `io::sink()` | none             |
 //!
-//! Instance *generation* is excluded from every sample (the criterion
-//! shim's `iter_custom` contract), so the numbers compare engine builds,
-//! not RNG throughput.
+//! Instance *generation* is excluded from every sample, so the numbers
+//! compare engine builds, not RNG throughput.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use dbp_core::audit::InvariantAuditor;
-use dbp_core::engine::{InteractiveSim, PackingResult};
+use dbp_core::engine::{run_with_config, PackingResult};
 use dbp_core::failure::{FailurePlan, RetryPolicy};
 use dbp_core::time::Dur;
 use dbp_core::trace::{EventSink, JsonlSink, NoopSink, VecSink};
-use dbp_core::Instance;
+use dbp_core::{Instance, SimConfig};
+use dbp_serve::protocol::push_json_str;
 use dbp_workloads::{random_general, GeneralConfig};
 
 use crate::sweep::{self, SweepOptions};
@@ -124,17 +124,14 @@ impl Config {
         Config::ALL.into_iter().find(|c| c.id() == s)
     }
 
-    /// The failure plan this configuration injects.
-    pub fn plan(self) -> FailurePlan {
-        match self {
+    /// The failure plan (seeded crashes only under [`Config::ChaosOn`]) and
+    /// retry policy this configuration runs under.
+    pub fn sim(self) -> SimConfig {
+        let failures = match self {
             Config::ChaosOn => FailurePlan::seeded(CHAOS_RATE, CHAOS_SEED, Dur(CHAOS_MTBF)),
             _ => FailurePlan::none(),
-        }
-    }
-
-    /// The retry policy paired with [`Config::plan`].
-    pub fn retry(self) -> RetryPolicy {
-        RetryPolicy::Fixed(Dur(1))
+        };
+        SimConfig::crashing(failures, RetryPolicy::Fixed(Dur(1)))
     }
 }
 
@@ -146,20 +143,8 @@ impl fmt::Display for Config {
 
 /// Drives `inst` end-to-end through the engine with `sink` attached and
 /// returns the result — the timed body of every sample.
-pub fn drive_with_sink<S: EventSink>(
-    inst: &Instance,
-    plan: FailurePlan,
-    retry: RetryPolicy,
-    sink: S,
-) -> PackingResult {
-    let mut sim =
-        InteractiveSim::with_capacity_failures_and_sink(FirstFit, inst.len(), plan, retry, sink);
-    for it in inst.items() {
-        sim.arrive_at(it.arrival, it.duration(), it.size)
-            .expect("harness placements are legal");
-    }
-    let (_, result) = sim.finish();
-    result
+pub fn drive_with_sink<S: EventSink>(inst: &Instance, sim: SimConfig, sink: S) -> PackingResult {
+    run_with_config(inst, FirstFit, sim, sink).expect("harness placements are legal")
 }
 
 /// [`drive_with_sink`] under a configuration's plan/sink pairing. The
@@ -167,12 +152,10 @@ pub fn drive_with_sink<S: EventSink>(
 /// throughput run doubles as an invariant sweep.
 pub fn drive(inst: &Instance, config: Config) -> PackingResult {
     match config {
-        Config::AuditorOff | Config::ChaosOn => {
-            drive_with_sink(inst, config.plan(), config.retry(), NoopSink)
-        }
+        Config::AuditorOff | Config::ChaosOn => drive_with_sink(inst, config.sim(), NoopSink),
         Config::AuditorOn => {
             let mut auditor = InvariantAuditor::new();
-            let result = drive_with_sink(inst, config.plan(), config.retry(), &mut auditor);
+            let result = drive_with_sink(inst, config.sim(), &mut auditor);
             auditor
                 .verify_result(&result)
                 .expect("auditor-clean harness run");
@@ -180,7 +163,7 @@ pub fn drive(inst: &Instance, config: Config) -> PackingResult {
         }
         Config::TraceOn => {
             let mut sink = JsonlSink::new(std::io::sink());
-            let result = drive_with_sink(inst, config.plan(), config.retry(), &mut sink);
+            let result = drive_with_sink(inst, config.sim(), &mut sink);
             assert_eq!(sink.written(), result.metrics.events, "every event traced");
             result
         }
@@ -190,7 +173,7 @@ pub fn drive(inst: &Instance, config: Config) -> PackingResult {
 /// [`drive`] capturing the event stream (for the determinism battery).
 pub fn drive_events(inst: &Instance, config: Config) -> (PackingResult, VecSink) {
     let mut sink = VecSink::new();
-    let result = drive_with_sink(inst, config.plan(), config.retry(), &mut sink);
+    let result = drive_with_sink(inst, config.sim(), &mut sink);
     (result, sink)
 }
 
@@ -407,13 +390,14 @@ impl BenchFile {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    ");
+            out.push_str("\n    {\"label\": \"");
+            push_json_str(&mut out, &e.label);
+            out.push_str("\", \"config\": \"");
+            push_json_str(&mut out, &e.config);
             out.push_str(&format!(
-                "{{\"label\": \"{}\", \"config\": \"{}\", \"items\": {}, \"placed\": {}, \
+                "\", \"items\": {}, \"placed\": {}, \
                  \"samples\": {}, \"median_items_per_sec\": {:.0}, \"best_items_per_sec\": {:.0}, \
                  \"median_ms\": {:.2}, \"cost_bin_ticks\": {:.1}}}",
-                json_escape(&e.label),
-                json_escape(&e.config),
                 e.items,
                 e.placed,
                 e.samples,
@@ -538,21 +522,11 @@ pub fn validate(file: &BenchFile) -> Result<(), String> {
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// A minimal recursive-descent JSON reader for the bench document (the
 /// workspace vendors no serde; `dbp_core::trace` covers only flat
-/// objects). Supports objects, arrays, strings with `\" \\ \n \t`
-/// escapes, numbers, booleans and null — exactly what [`BenchFile::render`]
+/// objects). Supports objects, arrays, strings with `\" \\ \n \t \uXXXX`
+/// escapes (raw control bytes are rejected, as JSON requires), numbers,
+/// booleans and null — exactly what [`BenchFile::render`]
 /// emits, which is all `BENCH_engine.json` may contain.
 pub mod json {
     /// A parsed JSON value.
@@ -726,11 +700,25 @@ pub mod json {
                                 Some(b'\\') => s.push('\\'),
                                 Some(b'n') => s.push('\n'),
                                 Some(b't') => s.push('\t'),
+                                Some(b'u') => {
+                                    let c = b
+                                        .get(*pos + 1..*pos + 5)
+                                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                        .and_then(|h| std::str::from_utf8(h).ok())
+                                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                        .and_then(char::from_u32)
+                                        .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                                    s.push(c);
+                                    *pos += 4;
+                                }
                                 other => {
                                     return Err(format!("unsupported escape {other:?}"));
                                 }
                             }
                             *pos += 1;
+                        }
+                        Some(&c) if c < 0x20 => {
+                            return Err(format!("raw control byte {c:#04x} at byte {pos}"));
                         }
                         Some(&c) => {
                             // Multi-byte UTF-8 passes through byte-wise:
@@ -812,6 +800,25 @@ mod tests {
         assert_eq!(parsed.entries[0].label, "pr6-baseline");
         assert_eq!(parsed.entries[1].config, "chaos_on");
         assert_eq!(parsed.seed, WORKLOAD_SEED);
+    }
+
+    #[test]
+    fn control_bytes_and_quotes_in_labels_stay_valid_json() {
+        let mut file = BenchFile::new();
+        file.upsert(entry("ci\tx", Config::AuditorOff));
+        file.upsert(entry("say \"hi\"\u{1}", Config::ChaosOn));
+        let text = file.render();
+        assert!(
+            text.bytes().all(|b| b >= 0x20 || b == b'\n'),
+            "raw control byte written: {text:?}"
+        );
+        let parsed = BenchFile::parse(&text).expect("valid document");
+        assert_eq!(parsed.entries[0].label, "ci\tx");
+        // The shared escaper writes quotes as apostrophes, so the label
+        // read back renders to the same bytes.
+        assert_eq!(parsed.entries[1].label, "say 'hi'\u{1}");
+        assert_eq!(parsed.render(), text);
+        assert!(json::parse("[\"a\tb\"]").is_err(), "raw tab in a string");
     }
 
     #[test]

@@ -77,6 +77,62 @@ fn pack_rejects_unknown_algorithm_and_bad_file() {
     assert!(err.contains("unknown algorithm"));
 }
 
+/// The crash flags go through one parser: an out-of-range value exits 2
+/// with the same message from `dbp-pack` and `dbp-trace record`, never a
+/// panic or a silent crash-free run.
+#[test]
+fn pack_and_trace_reject_bad_crash_flags_alike() {
+    let dir = std::env::temp_dir().join(format!("dbp_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("t.csv");
+    std::fs::write(&trace, "0,5,1,2\n").expect("write");
+    let trace = trace.to_string_lossy().into_owned();
+    let exit = |bin: &str, args: Vec<&str>| {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), err)
+    };
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["--fail-rate", "2"],
+            "bad fail rate '2' (expected a probability in [0, 1])",
+        ),
+        (&["--fail-rate", "1.5"], "bad fail rate '1.5'"),
+        (&["--fail-rate", "-0.1"], "bad fail rate '-0.1'"),
+        (&["--fail-rate", "nan"], "bad fail rate 'nan'"),
+        (&["--fail-seed", "x"], "bad fail seed 'x' (expected u64)"),
+    ];
+    for (flags, msg) in cases {
+        let mut pack = vec![trace.as_str()];
+        pack.extend_from_slice(flags);
+        let mut record = vec!["record", trace.as_str(), "--algo", "first-fit"];
+        record.extend_from_slice(flags);
+        for (bin, args) in [
+            (env!("CARGO_BIN_EXE_dbp-pack"), pack),
+            (env!("CARGO_BIN_EXE_dbp-trace"), record),
+        ] {
+            let (code, err) = exit(bin, args);
+            assert_eq!(code, Some(2), "{bin} {flags:?}: {err}");
+            assert!(err.contains(msg), "{bin} {flags:?}: {err}");
+        }
+    }
+    let (code, err) = exit(
+        env!("CARGO_BIN_EXE_dbp-trace"),
+        vec![
+            "record",
+            &trace,
+            "--algo",
+            "first-fit",
+            "--fail-rate",
+            "0.5",
+            "--fail-mtbf",
+            "0",
+        ],
+    );
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("bad fail mtbf '0'"), "{err}");
+}
+
 /// Warm-vs-cold cache round trip: two `dbp-pack` runs sharing a spill
 /// directory must report bit-identical brackets, with the second run
 /// served from disk.

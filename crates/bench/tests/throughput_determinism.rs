@@ -58,7 +58,7 @@ fn auditor_on_off_is_bit_identical() {
         let mut events = VecSink::new();
         let mut auditor = InvariantAuditor::new();
         let mut tee = (&mut events, &mut auditor);
-        let audited = drive_with_sink(&inst, config.plan(), config.retry(), &mut tee);
+        let audited = drive_with_sink(&inst, config.sim(), &mut tee);
         auditor.verify_result(&audited).expect("clean audit");
 
         assert_eq!(plain.metrics, audited.metrics, "{config}: metrics diverged");

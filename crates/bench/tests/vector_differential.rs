@@ -10,6 +10,7 @@
 //! the same scalar constraint.
 
 use dbp_algos::{by_name, registry_names};
+use dbp_core::SimConfig;
 use dbp_core::{
     engine, event_from_json, event_to_json, EngineEvent, FailurePlan, Instance, InvariantAuditor,
     RecourseBudget, RetryPolicy, SizeVec, VecSink,
@@ -114,12 +115,14 @@ fn per_dimension_conservation_survives_chaos_and_recourse() {
     for name in ["amortized:first-fit", "rod:best-fit"] {
         let mut auditor = InvariantAuditor::new();
         auditor.expect_budget(budget);
-        let res = engine::run_with_failures_recourse(
+        let res = engine::run_with_config(
             &inst,
             by_name(name).expect("registry"),
-            FailurePlan::seeded(0.4, 11, dbp_core::Dur(50)),
-            RetryPolicy::Fixed(dbp_core::Dur(2)),
-            budget,
+            SimConfig {
+                failures: FailurePlan::seeded(0.4, 11, dbp_core::Dur(50)),
+                retry: RetryPolicy::Fixed(dbp_core::Dur(2)),
+                recourse: budget,
+            },
             &mut auditor,
         )
         .expect("chaos run");
@@ -141,11 +144,13 @@ fn event_codec_round_trips_vector_sizes() {
     let inst = vm_anti_correlated(&VmConfig::new(200, 600).dims(3), 9);
     assert_eq!(inst.dims(), 3);
     let mut sink = VecSink::new();
-    engine::run_with_failures(
+    engine::run_with_config(
         &inst,
         by_name("first-fit").expect("registry"),
-        FailurePlan::seeded(0.3, 5, dbp_core::Dur(40)),
-        RetryPolicy::Immediate,
+        SimConfig::crashing(
+            FailurePlan::seeded(0.3, 5, dbp_core::Dur(40)),
+            RetryPolicy::Immediate,
+        ),
         &mut sink,
     )
     .expect("chaos run");

@@ -235,12 +235,13 @@ impl<A: OnlineAlgorithm> OnlineAlgorithm for AmortizedRepack<A> {
 mod tests {
     use super::*;
     use crate::FirstFit;
-    use dbp_core::engine::{run, run_with_recourse};
+    use dbp_core::engine::{run, run_with_config};
     use dbp_core::instance::Instance;
     use dbp_core::recourse::RecourseBudget;
     use dbp_core::size::Size;
     use dbp_core::time::{Dur, Time};
     use dbp_core::trace::NoopSink;
+    use dbp_core::SimConfig;
 
     fn sz(n: u64, d: u64) -> Size {
         Size::from_ratio(n, d)
@@ -261,10 +262,10 @@ mod tests {
     fn rod_consolidates_when_budget_allows() {
         let inst = consolidation_instance();
         let base = run(&inst, FirstFit::new()).unwrap();
-        let res = run_with_recourse(
+        let res = run_with_config(
             &inst,
             RepackOnDeparture::new(FirstFit::new()),
-            RecourseBudget::Unlimited,
+            SimConfig::repacking(RecourseBudget::Unlimited),
             NoopSink,
         )
         .unwrap();
@@ -285,10 +286,10 @@ mod tests {
             (Time(0), Dur(6), sz(3, 4)),
         ])
         .unwrap();
-        let res = run_with_recourse(
+        let res = run_with_config(
             &inst,
             RepackOnDeparture::new(FirstFit::new()),
-            RecourseBudget::Unlimited,
+            SimConfig::repacking(RecourseBudget::Unlimited),
             NoopSink,
         )
         .unwrap();
@@ -308,10 +309,10 @@ mod tests {
             (Time(0), Dur(20), sz(3, 4)),
         ])
         .unwrap();
-        let throttled = run_with_recourse(
+        let throttled = run_with_config(
             &inst,
             RepackOnDeparture::new(FirstFit::new()),
-            RecourseBudget::per_epoch(1),
+            SimConfig::repacking(RecourseBudget::per_epoch(1)),
             NoopSink,
         )
         .unwrap();
@@ -319,10 +320,10 @@ mod tests {
         // 2-move plan. (A cost-neutral 1-move plan does fire at t=10, when
         // r1's departure leaves a lone resident — that's fine.)
         assert_eq!(throttled.cost.as_bin_ticks(), 10.0 + 20.0);
-        let funded = run_with_recourse(
+        let funded = run_with_config(
             &inst,
             RepackOnDeparture::new(FirstFit::new()),
-            RecourseBudget::per_epoch(2),
+            SimConfig::repacking(RecourseBudget::per_epoch(2)),
             NoopSink,
         )
         .unwrap();
@@ -343,10 +344,10 @@ mod tests {
             (Time(0), Dur(20), sz(3, 4)),
         ])
         .unwrap();
-        let res = run_with_recourse(
+        let res = run_with_config(
             &inst,
             AmortizedRepack::new(FirstFit::new()),
-            RecourseBudget::per_epoch(1),
+            SimConfig::repacking(RecourseBudget::per_epoch(1)),
             NoopSink,
         )
         .unwrap();

@@ -9,6 +9,7 @@
 use dbp_algos::{by_name, registry_names};
 use dbp_core::engine::InteractiveSim;
 use dbp_core::{Dur, Size, Time};
+use dbp_core::{NoopSink, SimConfig};
 
 fn churn_items() -> Vec<(Time, Dur, Size)> {
     (0..400u64)
@@ -26,13 +27,23 @@ fn churn_items() -> Vec<(Time, Dur, Size)> {
 fn every_algorithm_survives_bin_compaction() {
     let items = churn_items();
     for &name in registry_names() {
-        let mut plain = InteractiveSim::new(by_name(name).expect("registry name"));
+        let mut plain = InteractiveSim::new(
+            by_name(name).expect("registry name"),
+            0,
+            SimConfig::default(),
+            NoopSink,
+        );
         for &(t, d, s) in &items {
             plain.arrive_at(t, d, s).unwrap();
         }
         plain.drain_remaining().unwrap();
 
-        let mut compacted = InteractiveSim::new(by_name(name).expect("registry name"));
+        let mut compacted = InteractiveSim::new(
+            by_name(name).expect("registry name"),
+            0,
+            SimConfig::default(),
+            NoopSink,
+        );
         let mut compactions = 0u32;
         for (k, &(t, d, s)) in items.iter().enumerate() {
             compacted.arrive_at(t, d, s).unwrap();

@@ -14,6 +14,7 @@
 use dbp_algos::Cdff;
 use dbp_core::engine::InteractiveSim;
 use dbp_core::{Dur, Size, Time};
+use dbp_core::{NoopSink, SimConfig};
 
 /// Bit `k` of `b_t = 1‖binary(t)` with `n+1` bits (bit `n` is the
 /// prepended 1).
@@ -45,7 +46,7 @@ fn lemma_5_5_bit_mapping_holds_exactly() {
     for n in 1..=10u32 {
         let mu = 1u64 << n;
         let load = Size::from_ratio(1, n as u64 + 1);
-        let mut sim = InteractiveSim::new(Cdff::new());
+        let mut sim = InteractiveSim::new(Cdff::new(), 0, SimConfig::default(), NoopSink);
         // (arrival, class) → paper row at assignment; σ_μ has exactly one
         // active item per class at any moment, so index rows by class.
         let mut current_row = vec![0u32; n as usize + 1];

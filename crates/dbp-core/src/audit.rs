@@ -783,6 +783,7 @@ mod tests {
     use crate::item::Item;
     use crate::size::Size;
     use crate::time::Dur;
+    use crate::SimConfig;
 
     struct Ff;
     impl OnlineAlgorithm for Ff {
@@ -819,7 +820,7 @@ mod tests {
     fn auditor_costs_match_engine_on_interactive_runs() {
         use crate::engine::InteractiveSim;
         let mut auditor = InvariantAuditor::new();
-        let mut sim = InteractiveSim::with_sink(Ff, &mut auditor);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), &mut auditor);
         sim.advance_to(Time(0));
         let (a, _) = sim.arrive_undated(sz(1, 2)).unwrap();
         sim.arrive_at(Time(3), Dur(4), sz(1, 3)).unwrap();
@@ -903,7 +904,7 @@ mod tests {
 
     #[test]
     fn budget_replay_accepts_a_faithful_recourse_run() {
-        use crate::engine::run_with_recourse;
+        use crate::engine::run_with_config;
         use crate::recourse::{Migration, RecourseEpoch, RecourseView};
 
         /// First-Fit that, at every departure epoch, tries to empty the
@@ -952,7 +953,13 @@ mod tests {
         let budget = RecourseBudget::per_epoch(1);
         let mut auditor = InvariantAuditor::new();
         auditor.expect_budget(budget);
-        let res = run_with_recourse(&inst, Consolidator, budget, &mut auditor).unwrap();
+        let res = run_with_config(
+            &inst,
+            Consolidator,
+            SimConfig::repacking(budget),
+            &mut auditor,
+        )
+        .unwrap();
         auditor.verify_result(&res).unwrap();
         assert_eq!(auditor.migrations_seen(), 1);
         assert_eq!(res.recourse.migrations, 1);

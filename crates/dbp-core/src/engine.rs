@@ -2,10 +2,18 @@
 //!
 //! Two front doors share one implementation:
 //!
-//! * [`run`] — batch mode: replay a whole [`Instance`] through an algorithm.
-//! * [`InteractiveSim`] — adaptive mode: a driver (e.g. the Theorem 4.3
+//! * batch mode replays a whole [`Instance`] through an algorithm:
+//!   [`run`], [`run_with_sink`] (an [`EventSink`] attached) and
+//!   [`run_with_config`] (a sink plus a [`SimConfig`]);
+//! * [`InteractiveSim`] is adaptive mode: a driver (e.g. the Theorem 4.3
 //!   adversary) feeds items one at a time and may inspect the open-bin
-//!   count between arrivals before deciding what to release next.
+//!   count between arrivals before deciding what to release next. Its one
+//!   constructor, [`InteractiveSim::new`], takes the algorithm, a capacity
+//!   hint, a [`SimConfig`] and a sink.
+//!
+//! A [`SimConfig`] carries the run's failure plan, retry policy and
+//! recourse budget; its default (no crashes, no recourse) is the paper's
+//! model exactly.
 //!
 //! Semantics: time moves on the integer tick grid; at each moment all
 //! departures are processed before any arrival (the paper's `t⁻`/`t⁺`
@@ -31,13 +39,14 @@
 //! empty callback compiles away) and tallies [`RunMetrics`] — arrival
 //! counts, fast-path vs. scan placements, tree/heap work — returned on
 //! every [`PackingResult`]. Attach [`crate::audit::InvariantAuditor`] (or
-//! any sink) via [`run_with_sink`] / [`InteractiveSim::with_sink`].
+//! any sink) via [`run_with_sink`] or [`InteractiveSim::new`].
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::algorithm::{OnlineAlgorithm, Placement, SimView};
 use crate::bin_state::{BinId, BinStore};
+use crate::config::SimConfig;
 use crate::cost::Area;
 use crate::error::EngineError;
 use crate::failure::{FailurePlan, ResilienceReport, RetryPolicy};
@@ -300,92 +309,54 @@ pub struct InteractiveSim<A: OnlineAlgorithm, S: EventSink = NoopSink> {
     recourse: RecourseCtl,
 }
 
-impl<A: OnlineAlgorithm> InteractiveSim<A> {
-    /// Starts a simulation driving `algo`. The algorithm is reset first.
-    pub fn new(algo: A) -> InteractiveSim<A> {
-        InteractiveSim::with_capacity(algo, 0)
-    }
-
-    /// Starts a simulation pre-reserving space for `items` items (and as
-    /// many bins — the worst case opens one per item). Behaviour is
-    /// identical to [`InteractiveSim::new`]; runs within the estimate just
-    /// never reallocate their bookkeeping or rebuild the placement tree.
-    pub fn with_capacity(algo: A, items: usize) -> InteractiveSim<A> {
-        InteractiveSim::with_capacity_and_sink(algo, items, NoopSink)
-    }
-
-    /// Starts a simulation with fault injection: bins crash per `plan`,
-    /// and displaced items are re-admitted under `retry` (see
-    /// [`crate::failure`]). With [`FailurePlan::none`] this is exactly
-    /// [`InteractiveSim::new`].
-    pub fn with_failures(algo: A, plan: FailurePlan, retry: RetryPolicy) -> InteractiveSim<A> {
-        InteractiveSim::with_capacity_failures_and_sink(algo, 0, plan, retry, NoopSink)
-    }
-}
-
 impl<A: OnlineAlgorithm, S: EventSink> InteractiveSim<A, S> {
-    /// Starts a simulation driving `algo` with `sink` attached to the
-    /// engine event stream.
-    pub fn with_sink(algo: A, sink: S) -> InteractiveSim<A, S> {
-        InteractiveSim::with_capacity_and_sink(algo, 0, sink)
-    }
-
-    /// [`InteractiveSim::with_capacity`] plus an attached sink.
-    pub fn with_capacity_and_sink(algo: A, items: usize, sink: S) -> InteractiveSim<A, S> {
-        InteractiveSim::with_capacity_failures_and_sink(
-            algo,
-            items,
-            FailurePlan::None,
-            RetryPolicy::Immediate,
-            sink,
-        )
-    }
-
-    /// The fully-general constructor: capacity hint, failure plan, retry
-    /// policy and event sink.
-    pub fn with_capacity_failures_and_sink(
-        mut algo: A,
-        items: usize,
-        plan: FailurePlan,
-        retry: RetryPolicy,
-        sink: S,
-    ) -> InteractiveSim<A, S> {
+    /// Starts a simulation driving `algo` (reset first) under `cfg`, with
+    /// `sink` attached to the engine event stream.
+    ///
+    /// `capacity` pre-reserves room for that many items (and as many bins:
+    /// the worst case opens one per item). It never changes the output;
+    /// runs within the estimate just never reallocate their bookkeeping or
+    /// rebuild the placement tree. Pass `0` when the item count is unknown.
+    pub fn new(mut algo: A, capacity: usize, cfg: SimConfig, sink: S) -> InteractiveSim<A, S> {
         algo.reset();
         // Rows past the arrivals are re-admission clones; reserving them
         // spares the row-indexed tables a reallocation late in the run,
         // whose copy would set the run's peak memory.
-        let rows = items + plan.clone_headroom(items);
+        let rows = capacity + cfg.failures.clone_headroom(capacity);
         InteractiveSim {
             algo,
-            bins: BinStore::with_capacity(items, rows),
+            bins: BinStore::with_capacity(capacity, rows),
             now: Time::ZERO,
             started: false,
-            departures: BinaryHeap::with_capacity(items),
+            departures: BinaryHeap::with_capacity(capacity),
             items: Vec::with_capacity(rows),
             assignment: Vec::with_capacity(rows),
             cost: Area::ZERO,
             max_open: 0,
             // One breakpoint per open plus one per close bounds the
-            // timeline at 2·items + 1 entries; reserving it up front keeps
+            // timeline at 2·capacity + 1 entries; reserving it up front keeps
             // the steady-state loop free of growth reallocations.
-            timeline: Vec::with_capacity(if items > 0 { 2 * items + 1 } else { 0 }),
+            timeline: Vec::with_capacity(if capacity > 0 { 2 * capacity + 1 } else { 0 }),
             undated: 0,
             resident: 0,
             sink,
             metrics: RunMetrics::default(),
-            failures: FailureCtl::new(plan, retry),
-            recourse: RecourseCtl::new(RecourseBudget::None),
+            failures: FailureCtl::new(cfg.failures, cfg.retry),
+            recourse: RecourseCtl::new(cfg.recourse),
         }
     }
 
-    /// Arms a recourse budget (builder form): at every arrival/departure
-    /// epoch the algorithm's `propose_migration` hook may move resident
-    /// items within the budget (see [`crate::recourse`]). The default is
-    /// [`RecourseBudget::None`], under which the hook is never consulted
-    /// and the engine's output is bit-identical to a recourse-free build.
-    pub fn with_recourse(mut self, budget: RecourseBudget) -> InteractiveSim<A, S> {
-        self.set_recourse(budget);
-        self
+    /// [`InteractiveSim::new`] without recourse. Kept only as a forward
+    /// because the `perfbench/` harness links it; ROADMAP.md item 2 (one
+    /// benchmark, one ledger) moves the harness to `new` and deletes this.
+    pub fn with_capacity_failures_and_sink(
+        algo: A,
+        items: usize,
+        plan: FailurePlan,
+        retry: RetryPolicy,
+        sink: S,
+    ) -> InteractiveSim<A, S> {
+        InteractiveSim::new(algo, items, SimConfig::crashing(plan, retry), sink)
     }
 
     /// Swaps the recourse budget mid-run (the serve daemon re-arms after a
@@ -1492,13 +1463,35 @@ pub fn run<A: OnlineAlgorithm>(instance: &Instance, algo: A) -> Result<PackingRe
     run_with_sink(instance, algo, NoopSink)
 }
 
-/// [`run`] with an [`EventSink`] attached to the engine event stream.
+/// [`run`] with an [`EventSink`] attached to the engine event stream. Pass
+/// the sink by mutable reference (`&mut S` implements [`EventSink`]) to
+/// inspect it after the run, as [`run_with_config`]'s example does.
+pub fn run_with_sink<A: OnlineAlgorithm, S: EventSink>(
+    instance: &Instance,
+    algo: A,
+    sink: S,
+) -> Result<PackingResult, EngineError> {
+    run_with_config(instance, algo, SimConfig::default(), sink)
+}
+
+/// [`run_with_sink`] under `cfg`: bins crash per its failure plan, displaced
+/// items are re-admitted under its retry policy (see [`crate::failure`],
+/// DESIGN.md §11), and the algorithm's `propose_migration` hook may move
+/// resident items at every arrival/departure epoch within its recourse
+/// budget (see [`crate::recourse`]). Both kinds of moves flow through the
+/// same engine paths and the same event stream.
 ///
-/// Pass the sink by mutable reference (`&mut S` implements [`EventSink`])
-/// to inspect it after the run:
+/// A seeded run is a pure function of `(instance, algorithm, cfg)`. The
+/// returned assignment covers the items *actually played*: the original
+/// items (truncated at their displacement when a bin failed under them)
+/// plus one fresh item per re-admission. The tallies land on
+/// [`PackingResult::resilience`] and [`PackingResult::recourse`].
+///
+/// [`SimConfig::default`] is exactly [`run_with_sink`]: same cost,
+/// assignment, event stream and metrics.
 ///
 /// ```
-/// use dbp_core::{engine, Instance, Size, Time, Dur, VecSink};
+/// use dbp_core::{engine, Instance, SimConfig, Size, Time, Dur, VecSink};
 /// use dbp_core::{OnlineAlgorithm, Placement, SimView, Item};
 ///
 /// struct Ff;
@@ -1510,85 +1503,24 @@ pub fn run<A: OnlineAlgorithm>(instance: &Instance, algo: A) -> Result<PackingRe
 ///     fn reset(&mut self) {}
 /// }
 ///
-/// let inst = Instance::from_triples([(Time(0), Dur(3), Size::FULL)]).unwrap();
-/// let mut sink = VecSink::new();
-/// let result = engine::run_with_sink(&inst, Ff, &mut sink).unwrap();
-/// assert_eq!(result.metrics.events as usize, sink.events.len());
+/// let inst = Instance::from_triples([
+///     (Time(0), Dur(10), Size::from_ratio(1, 2)),
+///     (Time(2), Dur(5), Size::from_ratio(2, 3)),
+///     (Time(4), Dur(3), Size::from_ratio(1, 3)),
+/// ]).unwrap();
+/// let (mut plain, mut configured) = (VecSink::new(), VecSink::new());
+/// let a = engine::run_with_sink(&inst, Ff, &mut plain).unwrap();
+/// let b = engine::run_with_config(&inst, Ff, SimConfig::default(), &mut configured).unwrap();
+/// assert_eq!(plain.events, configured.events);
+/// assert_eq!((a.cost, a.assignment), (b.cost, b.assignment));
 /// ```
-pub fn run_with_sink<A: OnlineAlgorithm, S: EventSink>(
+pub fn run_with_config<A: OnlineAlgorithm, S: EventSink>(
     instance: &Instance,
     algo: A,
+    cfg: SimConfig,
     sink: S,
 ) -> Result<PackingResult, EngineError> {
-    let mut sim = InteractiveSim::with_capacity_and_sink(algo, instance.len(), sink);
-    for it in instance.items() {
-        sim.arrive_at(it.arrival, it.duration(), it.size)?;
-    }
-    let (replayed, result) = sim.finish();
-    debug_assert_eq!(replayed.items().len(), instance.items().len());
-    Ok(result)
-}
-
-/// [`run_with_sink`] under fault injection: bins crash per `plan` and
-/// displaced items are re-admitted under `retry` (see [`crate::failure`]
-/// for the model, DESIGN.md §11 for the semantics).
-///
-/// With [`FailurePlan::none`] the output — cost, assignment, event
-/// stream, metrics — is bit-identical to [`run_with_sink`]. With a seeded
-/// plan the run is a pure function of `(instance, algorithm, seed)`:
-/// replays are deterministic.
-///
-/// The returned assignment covers the items *actually played*, i.e. the
-/// original items (truncated at their displacement when a bin failed
-/// under them) plus one fresh item per re-admission; the failure tallies
-/// land on [`PackingResult::resilience`].
-pub fn run_with_failures<A: OnlineAlgorithm, S: EventSink>(
-    instance: &Instance,
-    algo: A,
-    plan: FailurePlan,
-    retry: RetryPolicy,
-    sink: S,
-) -> Result<PackingResult, EngineError> {
-    run_with_failures_recourse(instance, algo, plan, retry, RecourseBudget::None, sink)
-}
-
-/// [`run_with_sink`] with a recourse budget: at every arrival/departure
-/// epoch the algorithm's `propose_migration` hook may move resident items,
-/// billed against `budget` (see [`crate::recourse`]). With
-/// [`RecourseBudget::None`] the output — cost, assignment, event stream,
-/// metrics — is bit-identical to [`run_with_sink`].
-pub fn run_with_recourse<A: OnlineAlgorithm, S: EventSink>(
-    instance: &Instance,
-    algo: A,
-    budget: RecourseBudget,
-    sink: S,
-) -> Result<PackingResult, EngineError> {
-    run_with_failures_recourse(
-        instance,
-        algo,
-        FailurePlan::None,
-        RetryPolicy::Immediate,
-        budget,
-        sink,
-    )
-}
-
-/// The fully-general batch entry: fault injection and recourse together.
-/// Crashes displace items through the shared relocation drain (pending
-/// re-admissions), while the budget lets the algorithm relocate
-/// voluntarily at every epoch; both kinds of moves flow through the same
-/// engine paths and the same event stream.
-pub fn run_with_failures_recourse<A: OnlineAlgorithm, S: EventSink>(
-    instance: &Instance,
-    algo: A,
-    plan: FailurePlan,
-    retry: RetryPolicy,
-    budget: RecourseBudget,
-    sink: S,
-) -> Result<PackingResult, EngineError> {
-    let mut sim =
-        InteractiveSim::with_capacity_failures_and_sink(algo, instance.len(), plan, retry, sink)
-            .with_recourse(budget);
+    let mut sim = InteractiveSim::new(algo, instance.len(), cfg, sink);
     for it in instance.items() {
         sim.arrive_at(it.arrival, it.duration(), it.size)?;
     }
@@ -1758,7 +1690,7 @@ mod tests {
 
     #[test]
     fn interactive_time_regression_rejected() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         sim.arrive_at(Time(5), Dur(1), sz(1, 2)).unwrap();
         let err = sim.arrive_at(Time(3), Dur(1), sz(1, 2)).unwrap_err();
         assert!(matches!(err, EngineError::TimeRegression { .. }));
@@ -1766,7 +1698,7 @@ mod tests {
 
     #[test]
     fn undated_arrivals_support_adaptive_departures() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         sim.advance_to(Time(0));
         let (a, bin_a) = sim.arrive_undated(sz(1, 2)).unwrap();
         let (b, bin_b) = sim.arrive_undated(sz(1, 2)).unwrap();
@@ -1785,7 +1717,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already dated")]
     fn double_dating_panics() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         let (a, _) = sim.arrive_undated(sz(1, 2)).unwrap();
         sim.set_departure(a, Time(5));
         sim.set_departure(a, Time(6));
@@ -1794,7 +1726,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "undated items still in flight")]
     fn finish_with_undated_items_panics() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         let _ = sim.arrive_undated(sz(1, 2)).unwrap();
         let _ = sim.finish();
     }
@@ -1802,7 +1734,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "in the past")]
     fn dating_in_the_past_panics() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         let (a, _) = sim.arrive_undated(sz(1, 2)).unwrap();
         sim.arrive_at(Time(10), Dur(1), sz(1, 4)).unwrap();
         sim.set_departure(a, Time(5));
@@ -1810,7 +1742,7 @@ mod tests {
 
     #[test]
     fn undated_items_outlive_interleaved_dated_traffic() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         let (a, _) = sim.arrive_undated(sz(1, 4)).unwrap();
         sim.arrive_at(Time(2), Dur(3), sz(1, 4)).unwrap(); // departs at 5
         sim.advance_to(Time(6));
@@ -1822,7 +1754,7 @@ mod tests {
 
     #[test]
     fn try_variants_return_typed_errors() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         sim.try_advance_to(Time(5)).unwrap();
         let err = sim.try_advance_to(Time(3)).unwrap_err();
         assert!(matches!(err, EngineError::ClockRegression { .. }));
@@ -1899,7 +1831,13 @@ mod tests {
                 .unwrap();
         let plan = FailurePlan::scripted(vec![(Time(4), BinId(0))]);
         let mut sink = VecSink::new();
-        let res = run_with_failures(&inst, Ff, plan, RetryPolicy::Immediate, &mut sink).unwrap();
+        let res = run_with_config(
+            &inst,
+            Ff,
+            SimConfig::crashing(plan, RetryPolicy::Immediate),
+            &mut sink,
+        )
+        .unwrap();
         // Bin 0 billed [0,4), the replacement bin [4,10).
         assert_eq!(res.cost.as_bin_ticks(), 4.0 + 6.0);
         assert_eq!(res.bins_opened, 2);
@@ -1941,7 +1879,13 @@ mod tests {
             Instance::from_triples([(Time(0), Dur(10), sz(1, 2)), (Time(0), Dur(10), sz(1, 2))])
                 .unwrap();
         let plan = FailurePlan::scripted(vec![(Time(4), BinId(0))]);
-        let res = run_with_failures(&inst, Ff, plan, RetryPolicy::Fixed(Dur(2)), NoopSink).unwrap();
+        let res = run_with_config(
+            &inst,
+            Ff,
+            SimConfig::crashing(plan, RetryPolicy::Fixed(Dur(2))),
+            NoopSink,
+        )
+        .unwrap();
         // Bin 0 billed [0,4); the replacement opens at 6 and runs to 10.
         assert_eq!(res.cost.as_bin_ticks(), 4.0 + 4.0);
         assert_eq!(res.resilience.readmissions, 2);
@@ -1955,8 +1899,13 @@ mod tests {
             Instance::from_triples([(Time(0), Dur(10), sz(1, 2)), (Time(0), Dur(10), sz(1, 2))])
                 .unwrap();
         let plan = FailurePlan::scripted(vec![(Time(4), BinId(0))]);
-        let res =
-            run_with_failures(&inst, Ff, plan, RetryPolicy::Fixed(Dur(100)), NoopSink).unwrap();
+        let res = run_with_config(
+            &inst,
+            Ff,
+            SimConfig::crashing(plan, RetryPolicy::Fixed(Dur(100))),
+            NoopSink,
+        )
+        .unwrap();
         assert_eq!(res.cost.as_bin_ticks(), 4.0, "nothing re-enters");
         assert_eq!(res.resilience.dropped, 2);
         assert_eq!(res.resilience.readmissions, 0);
@@ -1970,7 +1919,13 @@ mod tests {
         let inst = Instance::from_triples([(Time(0), Dur(3), sz(1, 2))]).unwrap();
         // Bin 0 closes at t=3; the scheduled crash at t=5 finds it gone.
         let plan = FailurePlan::scripted(vec![(Time(5), BinId(0)), (Time(1), BinId(7))]);
-        let res = run_with_failures(&inst, Ff, plan, RetryPolicy::Immediate, NoopSink).unwrap();
+        let res = run_with_config(
+            &inst,
+            Ff,
+            SimConfig::crashing(plan, RetryPolicy::Immediate),
+            NoopSink,
+        )
+        .unwrap();
         assert_eq!(res.cost.as_bin_ticks(), 3.0);
         assert!(!res.resilience.any());
     }
@@ -1988,11 +1943,13 @@ mod tests {
         let mut plain_sink = VecSink::new();
         let plain = run_with_sink(&inst, Ff, &mut plain_sink).unwrap();
         let mut fail_sink = VecSink::new();
-        let failed = run_with_failures(
+        let failed = run_with_config(
             &inst,
             Ff,
-            FailurePlan::none(),
-            RetryPolicy::Exponential { base: Dur(3) },
+            SimConfig::crashing(
+                FailurePlan::none(),
+                RetryPolicy::Exponential { base: Dur(3) },
+            ),
             &mut fail_sink,
         )
         .unwrap();
@@ -2017,9 +1974,11 @@ mod tests {
         let plan = || FailurePlan::seeded(0.6, 11, Dur(4));
         let retry = RetryPolicy::Exponential { base: Dur(1) };
         let mut a_sink = VecSink::new();
-        let a = run_with_failures(&inst, Ff, plan(), retry, &mut a_sink).unwrap();
+        let a =
+            run_with_config(&inst, Ff, SimConfig::crashing(plan(), retry), &mut a_sink).unwrap();
         let mut b_sink = VecSink::new();
-        let b = run_with_failures(&inst, Ff, plan(), retry, &mut b_sink).unwrap();
+        let b =
+            run_with_config(&inst, Ff, SimConfig::crashing(plan(), retry), &mut b_sink).unwrap();
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.resilience, b.resilience);
@@ -2041,7 +2000,13 @@ mod tests {
         // The item's first bin dies at t=2, its re-admission bin at t=4.
         let inst = Instance::from_triples([(Time(0), Dur(20), sz(1, 2))]).unwrap();
         let plan = FailurePlan::scripted(vec![(Time(2), BinId(0)), (Time(4), BinId(1))]);
-        let res = run_with_failures(&inst, Ff, plan, RetryPolicy::Immediate, NoopSink).unwrap();
+        let res = run_with_config(
+            &inst,
+            Ff,
+            SimConfig::crashing(plan, RetryPolicy::Immediate),
+            NoopSink,
+        )
+        .unwrap();
         assert_eq!(res.resilience.bin_failures, 2);
         assert_eq!(res.resilience.displacements, 2);
         assert_eq!(res.resilience.max_attempts, 2, "same request bounced twice");
@@ -2054,12 +2019,12 @@ mod tests {
         let items: Vec<(Time, Dur, Size)> = (0..400u64)
             .map(|k| (Time(k / 2), Dur(3 + k % 7), sz(1 + k % 3, 4)))
             .collect();
-        let mut plain = InteractiveSim::new(Ff);
+        let mut plain = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         for &(t, d, s) in &items {
             plain.arrive_at(t, d, s).unwrap();
         }
         plain.drain_remaining().unwrap();
-        let mut compacted = InteractiveSim::new(Ff);
+        let mut compacted = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         for (k, &(t, d, s)) in items.iter().enumerate() {
             compacted.arrive_at(t, d, s).unwrap();
             if k % 50 == 49 {
@@ -2089,14 +2054,11 @@ mod tests {
     /// First-Fit under a seeded crash plan that fires and re-admits on
     /// [`chaos_items`].
     fn chaos_sim() -> InteractiveSim<Ff> {
-        let plan = FailurePlan::seeded(0.6, 11, Dur(4));
-        InteractiveSim::with_capacity_failures_and_sink(
-            Ff,
-            0,
-            plan,
+        let cfg = SimConfig::crashing(
+            FailurePlan::seeded(0.6, 11, Dur(4)),
             RetryPolicy::Fixed(Dur(2)),
-            NoopSink,
-        )
+        );
+        InteractiveSim::new(Ff, 0, cfg, NoopSink)
     }
 
     /// The instance the pre-row-table `finish` built: every row copied
@@ -2206,7 +2168,7 @@ mod tests {
     fn compaction_bounds_the_table_under_churn() {
         // 2000 sequential short items, never more than ~2 live at once: the
         // compacted table must stay within a constant of the live count.
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         let mut peak_live = 0;
         for k in 0..2000u64 {
             sim.arrive_at(Time(k), Dur(2), sz(1, 2)).unwrap();
@@ -2262,7 +2224,7 @@ mod tests {
         // Sequential near-full items: one bin each, never more than ~2
         // open at once. The compacted record table must stay within a
         // constant of the open count while `bins_opened` keeps counting.
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         for k in 0..2000u64 {
             sim.arrive_at(Time(k), Dur(2), sz(3, 4)).unwrap();
             if sim.bins().all().len() >= 2 * sim.bins().open_count() + 16 {
@@ -2321,7 +2283,7 @@ mod tests {
                 self.sizes.clear();
             }
         }
-        let mut sim = InteractiveSim::new(Tracking::default());
+        let mut sim = InteractiveSim::new(Tracking::default(), 0, SimConfig::default(), NoopSink);
         for k in 0..300u64 {
             sim.arrive_at(Time(k), Dur(4), sz(1, 3)).unwrap();
             if k % 25 == 24 {
@@ -2335,7 +2297,7 @@ mod tests {
 
     #[test]
     fn interactive_open_count_visible_mid_run() {
-        let mut sim = InteractiveSim::new(Ff);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), NoopSink);
         sim.arrive_at(Time(0), Dur(10), Size::FULL).unwrap();
         assert_eq!(sim.open_count(), 1);
         sim.arrive_at(Time(0), Dur(10), Size::FULL).unwrap();
@@ -2399,8 +2361,13 @@ mod tests {
         ])
         .unwrap();
         let mut sink = VecSink::new();
-        let res =
-            run_with_recourse(&inst, Consolidator, RecourseBudget::Unlimited, &mut sink).unwrap();
+        let res = run_with_config(
+            &inst,
+            Consolidator,
+            SimConfig::repacking(RecourseBudget::Unlimited),
+            &mut sink,
+        )
+        .unwrap();
         assert_eq!(res.cost.as_bin_ticks(), 4.0 + 20.0);
         assert_eq!(res.recourse.migrations, 1);
         assert_eq!(res.recourse.migration_closures, 1);
@@ -2447,8 +2414,13 @@ mod tests {
         let mut plain_sink = VecSink::new();
         let plain = run_with_sink(&inst, Ff, &mut plain_sink).unwrap();
         let mut rec_sink = VecSink::new();
-        let gated =
-            run_with_recourse(&inst, Consolidator, RecourseBudget::None, &mut rec_sink).unwrap();
+        let gated = run_with_config(
+            &inst,
+            Consolidator,
+            SimConfig::repacking(RecourseBudget::None),
+            &mut rec_sink,
+        )
+        .unwrap();
         assert_eq!(plain.cost, gated.cost);
         assert_eq!(plain.assignment, gated.assignment);
         assert_eq!(plain.timeline, gated.timeline);
@@ -2470,10 +2442,20 @@ mod tests {
             (Time(0), Dur(20), sz(1, 2)),
         ])
         .unwrap();
-        let unlimited =
-            run_with_recourse(&inst, Consolidator, RecourseBudget::Unlimited, NoopSink).unwrap();
-        let one =
-            run_with_recourse(&inst, Consolidator, RecourseBudget::per_epoch(1), NoopSink).unwrap();
+        let unlimited = run_with_config(
+            &inst,
+            Consolidator,
+            SimConfig::repacking(RecourseBudget::Unlimited),
+            NoopSink,
+        )
+        .unwrap();
+        let one = run_with_config(
+            &inst,
+            Consolidator,
+            SimConfig::repacking(RecourseBudget::per_epoch(1)),
+            NoopSink,
+        )
+        .unwrap();
         let none = run(&inst, Consolidator).unwrap();
         assert_eq!(unlimited.cost.as_bin_ticks(), 4.0 + 20.0);
         assert_eq!(unlimited.recourse.migrations, 2);
@@ -2532,31 +2514,36 @@ mod tests {
             ),
         ];
         for (m, what) in cases {
-            let err = run_with_recourse(&inst, BadMover(m), RecourseBudget::per_epoch(1), NoopSink)
-                .unwrap_err();
+            let err = run_with_config(
+                &inst,
+                BadMover(m),
+                SimConfig::repacking(RecourseBudget::per_epoch(1)),
+                NoopSink,
+            )
+            .unwrap_err();
             assert!(
                 matches!(err, EngineError::IllegalMigration { .. }),
                 "{what}: {err}"
             );
         }
-        let err = run_with_recourse(
+        let err = run_with_config(
             &inst,
             BadMover(Migration {
                 item: ItemId(0),
                 to: BinId(9),
             }),
-            RecourseBudget::per_epoch(1),
+            SimConfig::repacking(RecourseBudget::per_epoch(1)),
             NoopSink,
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::BinNotOpen { .. }));
-        let err = run_with_recourse(
+        let err = run_with_config(
             &inst,
             BadMover(Migration {
                 item: ItemId(0),
                 to: BinId(1),
             }),
-            RecourseBudget::per_epoch(1),
+            SimConfig::repacking(RecourseBudget::per_epoch(1)),
             NoopSink,
         )
         .unwrap_err();
@@ -2567,7 +2554,7 @@ mod tests {
     fn restored_pending_readmission_drains_like_the_original() {
         use crate::trace::VecSink;
         let mut sink = VecSink::new();
-        let mut sim = InteractiveSim::with_sink(Ff, &mut sink);
+        let mut sim = InteractiveSim::new(Ff, 0, SimConfig::default(), &mut sink);
         sim.try_advance_to(Time(5)).unwrap();
         let parent =
             sim.restore_pending_readmission(Time(0), Time(4), Time(6), 1, Time(12), sz(1, 2));

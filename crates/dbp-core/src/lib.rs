@@ -26,6 +26,8 @@
 //! * budgeted recourse ([`recourse`]): bounded voluntary item migration at
 //!   arrival/departure epochs, billed per-epoch or amortized, with the
 //!   per-run [`recourse::RecourseReport`];
+//! * one [`config::SimConfig`] carrying a run's failure plan, retry policy
+//!   and recourse budget, with the one parser of their command-line flags;
 //! * the σ→σ′ departure-rounding reduction ([`reduction`]) and certified
 //!   OPT brackets ([`bounds`]) used by every experiment.
 //!
@@ -40,6 +42,7 @@ pub mod assignment;
 pub mod audit;
 pub mod bin_state;
 pub mod bounds;
+pub mod config;
 pub mod cost;
 pub mod engine;
 pub mod error;
@@ -60,10 +63,11 @@ pub use assignment::{audit, AuditReport};
 pub use audit::{AuditViolation, InvariantAuditor};
 pub use bin_state::{BinClass, BinId, BinRecord, BinStore};
 pub use bounds::{BracketRung, BracketSource, CertifiedBracket, LowerBounds, OptBracket};
+pub use config::{SimConfig, SimFlagError, SIM_FLAGS};
 pub use cost::Area;
 pub use engine::{
-    run, run_with_failures, run_with_failures_recourse, run_with_recourse, run_with_sink,
-    InteractiveSim, PackingResult, PendingReadmission, RunMetrics,
+    run, run_with_config, run_with_sink, InteractiveSim, PackingResult, PendingReadmission,
+    RunMetrics,
 };
 pub use error::{EngineError, InstanceError, VerifyError};
 pub use failure::{FailurePlan, ResilienceReport, RetryPolicy};

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
 use dbp_core::engine::InteractiveSim;
 use dbp_core::item::Item;
+use dbp_core::{NoopSink, SimConfig};
 
 /// System allocator wrapper that counts allocation calls (alloc and
 /// realloc; frees don't matter for the steady-state claim).
@@ -97,7 +98,7 @@ fn steady_state_loop_allocates_nothing() {
     const N: usize = 40_000;
     let items = synth_items(N);
     // Sink off (NoopSink default), failures off, capacity pre-reserved.
-    let mut sim = InteractiveSim::with_capacity(Ff, N);
+    let mut sim = InteractiveSim::new(Ff, N, SimConfig::default(), NoopSink);
 
     // Warm-up: first half fills the tables, settles vector capacities and
     // stocks the bin store's resident-list recycling pool.

@@ -21,6 +21,7 @@ use dbp_core::algorithm::{OnlineAlgorithm, Placement, SimView};
 use dbp_core::bin_state::BinClass;
 use dbp_core::engine::InteractiveSim;
 use dbp_core::item::Item;
+use dbp_core::{NoopSink, SimConfig};
 
 /// System allocator wrapper that counts allocation calls (alloc and
 /// realloc; frees don't matter for the steady-state claim).
@@ -103,7 +104,7 @@ fn classes_born_and_dying_allocate_nothing_in_steady_state() {
 
     const N: usize = 40_000;
     let items = synth_items(N);
-    let mut sim = InteractiveSim::with_capacity(WindowFf, N);
+    let mut sim = InteractiveSim::new(WindowFf, N, SimConfig::default(), NoopSink);
 
     let half = N / 2;
     for &(t, dur, num) in &items[..half] {

@@ -24,7 +24,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use dbp_core::{Dur, FailurePlan, RecourseBudget, RetryPolicy};
+use dbp_core::{Dur, SimConfig, SIM_FLAGS};
 use dbp_serve::protocol::push_json_str;
 use dbp_serve::{parse_request, snapshot, Request, ServeConfig, SessionMap};
 
@@ -55,9 +55,8 @@ fn parse_flags(args: &[String]) -> Flags {
     let mut socket = None;
     let mut restore = None;
     let mut snapshot_exit = None;
-    let mut fail_rate = 0.0f64;
-    let mut fail_seed = 0u64;
     let mut fail_mtbf = 1000u64;
+    let mut sim_flags = Vec::new();
     let next = |it: &mut std::slice::Iter<String>| it.next().cloned().unwrap_or_else(|| usage());
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -72,24 +71,9 @@ fn parse_flags(args: &[String]) -> Flags {
             "--metrics-every" => {
                 cfg.metrics_every = next(&mut it).parse().unwrap_or_else(|_| usage())
             }
-            "--fail-rate" => fail_rate = next(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--fail-seed" => fail_seed = next(&mut it).parse().unwrap_or_else(|_| usage()),
             "--fail-mtbf" => fail_mtbf = next(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--retry" => {
-                let raw = next(&mut it);
-                cfg.retry = RetryPolicy::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("bad retry policy '{raw}' (immediate|fixed=<ticks>|exp=<ticks>)");
-                    std::process::exit(2);
-                });
-            }
-            "--recourse" => {
-                let raw = next(&mut it);
-                cfg.recourse = RecourseBudget::parse(&raw).unwrap_or_else(|e| {
-                    eprintln!(
-                        "bad recourse budget '{raw}': {e} (none|epoch=<k>|amortized=<earn>[/<burst>]|unlimited)"
-                    );
-                    std::process::exit(2);
-                });
+            flag if SIM_FLAGS.contains(&flag) => {
+                sim_flags.push((flag, it.next().map(String::as_str)));
             }
             "--restore" => restore = Some(next(&mut it)),
             "--snapshot-exit" => snapshot_exit = Some(next(&mut it)),
@@ -100,9 +84,10 @@ fn parse_flags(args: &[String]) -> Flags {
             }
         }
     }
-    if fail_rate > 0.0 {
-        cfg.plan = FailurePlan::seeded(fail_rate, fail_seed, Dur(fail_mtbf));
-    }
+    cfg.sim = SimConfig::from_flags(sim_flags, 0, Dur(fail_mtbf)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     if stdin == socket.is_some() {
         usage(); // exactly one transport
     }

@@ -20,9 +20,9 @@ use std::fmt::Write as _;
 
 use dbp_core::trace::write_event_json;
 use dbp_core::{
-    Area, BinStore, EngineError, EngineEvent, EventSink, FailurePlan, InteractiveSim, Item, ItemId,
-    Migration, OnlineAlgorithm, Placement, RecourseBudget, RecourseEpoch, RecourseReport,
-    RecourseView, ResilienceReport, RetryPolicy, RunMetrics, SimView,
+    Area, BinStore, EngineError, EngineEvent, EventSink, InteractiveSim, Item, ItemId, Migration,
+    OnlineAlgorithm, Placement, RecourseBudget, RecourseEpoch, RecourseReport, RecourseView,
+    ResilienceReport, RunMetrics, SimConfig, SimView,
 };
 
 use crate::protocol::{push_json_str, Op, Request};
@@ -38,14 +38,11 @@ pub struct ServeConfig {
     pub compact_slack: usize,
     /// Emit a telemetry pair every N input events; `0` disables.
     pub metrics_every: u64,
-    /// Fault-injection plan applied to every session.
-    pub plan: FailurePlan,
-    /// Re-admission policy for displaced items.
-    pub retry: RetryPolicy,
-    /// Recourse budget armed on every session: a non-`None` budget lets
-    /// the algorithm's `propose_migration` hook move resident items at
-    /// arrival/departure epochs, streamed out as `ItemMigrated` events.
-    pub recourse: RecourseBudget,
+    /// Failure plan, retry policy and recourse budget armed on every
+    /// session. A non-`None` budget lets the algorithm's
+    /// `propose_migration` hook move resident items at arrival/departure
+    /// epochs, streamed out as `ItemMigrated` events.
+    pub sim: SimConfig,
 }
 
 impl Default for ServeConfig {
@@ -55,9 +52,7 @@ impl Default for ServeConfig {
             max_live: 0,
             compact_slack: 1024,
             metrics_every: 0,
-            plan: FailurePlan::None,
-            retry: RetryPolicy::Immediate,
-            recourse: RecourseBudget::None,
+            sim: SimConfig::default(),
         }
     }
 }
@@ -442,14 +437,7 @@ impl Session {
             script: VecDeque::new(),
             inner,
         };
-        let mut engine = InteractiveSim::with_capacity_failures_and_sink(
-            algo,
-            0,
-            cfg.plan.clone(),
-            cfg.retry,
-            SessionSink::new(),
-        );
-        engine.set_recourse(cfg.recourse);
+        let engine = InteractiveSim::new(algo, 0, cfg.sim.clone(), SessionSink::new());
         Ok(Session::from_engine(engine, tenant, cfg))
     }
 
@@ -468,7 +456,7 @@ impl Session {
             events_in: 0,
             rejected: 0,
             compactions: 0,
-            recourse_budget: cfg.recourse,
+            recourse_budget: cfg.sim.recourse,
             cost_offset: Area::ZERO,
             metrics_offset: RunMetrics::default(),
             resilience_offset: ResilienceReport::default(),

@@ -58,7 +58,7 @@ use std::fmt::{self, Write as _};
 use dbp_core::trace::{json_pairs, parse_raws_json, write_raws_json};
 use dbp_core::{
     Area, BinClass, BinId, InteractiveSim, ItemId, Placement, RecourseReport, ResilienceReport,
-    RunMetrics, SizeVec, Time,
+    RunMetrics, SimConfig, SizeVec, Time,
 };
 
 use crate::session::{ServeAlgo, ServeConfig, Session, SessionSink};
@@ -411,13 +411,11 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, RestoreError> {
     let inner = dbp_algos::by_name(&algo_name)
         .ok_or_else(|| format!("snapshot: unknown algorithm `{algo_name}`"))?;
     let sink = SessionSink::replaying(exts, next_ext);
-    let mut engine = InteractiveSim::with_capacity_failures_and_sink(
-        ServeAlgo { script, inner },
-        item_lines.len(),
-        cfg.plan.clone(),
-        cfg.retry,
-        sink,
-    );
+    // Migration epochs would corrupt the scripted replay, so the budget is
+    // armed only after it.
+    let replay = SimConfig::crashing(cfg.sim.failures.clone(), cfg.sim.retry);
+    let mut engine =
+        InteractiveSim::new(ServeAlgo { script, inner }, item_lines.len(), replay, sink);
     engine
         .try_advance_to(now)
         .map_err(|e| format!("snapshot: clock: {e}"))?;
@@ -490,9 +488,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, RestoreError> {
     engine
         .sink_mut()
         .set_bin_names(bin_names, bin_origs, total_opened);
-    // The replay above ran with the budget disarmed (migration epochs
-    // would corrupt the scripted reconstruction); arm it only now.
-    engine.set_recourse(cfg.recourse);
+    engine.set_recourse(cfg.sim.recourse);
     engine.sink_mut().unmute();
     engine.sink_mut().out.clear();
 

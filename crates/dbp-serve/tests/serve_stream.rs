@@ -5,7 +5,8 @@
 //! keeps the item table bounded, backpressure sheds load with a typed
 //! rejection, and a snapshot/restore cycle is cost- and count-continuous.
 
-use dbp_core::engine::{run_with_failures, run_with_failures_recourse};
+use dbp_core::engine::run_with_config;
+use dbp_core::SimConfig;
 use dbp_core::{
     Area, Dur, EngineEvent, FailurePlan, ItemId, JsonlSink, RecourseBudget, RetryPolicy, Size, Time,
 };
@@ -22,11 +23,10 @@ fn record_batch(
     retry: RetryPolicy,
 ) -> (String, dbp_core::PackingResult) {
     let mut sink = JsonlSink::new(Vec::new());
-    let result = run_with_failures(
+    let result = run_with_config(
         inst,
         dbp_algos::by_name(algo).expect("known algorithm"),
-        plan,
-        retry,
+        SimConfig::crashing(plan, retry),
         &mut sink,
     )
     .expect("batch run succeeds");
@@ -97,8 +97,7 @@ fn stream_replay_matches_batch_under_chaos() {
     );
 
     let cfg = ServeConfig {
-        plan,
-        retry,
+        sim: SimConfig::crashing(plan, retry),
         ..ServeConfig::default()
     };
     let mut session = Session::new("t", &cfg).unwrap();
@@ -473,12 +472,10 @@ fn recourse_stream_replay_matches_batch_recording() {
     let inst = random_general(&GeneralConfig::new(6, 800), 11);
     let budget = RecourseBudget::per_epoch(1);
     let mut sink = JsonlSink::new(Vec::new());
-    let batch = run_with_failures_recourse(
+    let batch = run_with_config(
         &inst,
         dbp_algos::by_name("rod:first-fit").expect("known algorithm"),
-        FailurePlan::None,
-        RetryPolicy::Immediate,
-        budget,
+        SimConfig::repacking(budget),
         &mut sink,
     )
     .expect("batch run succeeds");
@@ -490,8 +487,8 @@ fn recourse_stream_replay_matches_batch_recording() {
     assert!(recording.contains("\"e\":\"migrated\""));
 
     let cfg = ServeConfig {
+        sim: SimConfig::repacking(budget),
         algo: "rod:first-fit".to_string(),
-        recourse: budget,
         ..ServeConfig::default()
     };
     let mut session = Session::new("t", &cfg).unwrap();
@@ -515,8 +512,8 @@ fn snapshot_restore_is_continuous_under_recourse() {
     // the same consolidation moves the uninterrupted control makes.
     let inst = random_general(&GeneralConfig::new(6, 600), 42);
     let cfg = ServeConfig {
+        sim: SimConfig::repacking(RecourseBudget::per_epoch(1)),
         algo: "rod:first-fit".to_string(),
-        recourse: RecourseBudget::per_epoch(1),
         ..ServeConfig::default()
     };
 
@@ -577,8 +574,10 @@ fn snapshot_restore_carries_pending_readmissions() {
     // the carried retries fire on their own in the restored engine.
     let inst = random_general(&GeneralConfig::new(6, 600), 23);
     let chaos = ServeConfig {
-        plan: FailurePlan::seeded(0.25, 7, Dur(64)),
-        retry: RetryPolicy::parse("fixed=40").expect("valid policy"),
+        sim: SimConfig::crashing(
+            FailurePlan::seeded(0.25, 7, Dur(64)),
+            RetryPolicy::parse("fixed=40").expect("valid policy"),
+        ),
         ..ServeConfig::default()
     };
     let mut first = Session::new("t", &chaos).unwrap();
@@ -608,7 +607,7 @@ fn snapshot_restore_carries_pending_readmissions() {
     // Restore into a calm config (no further crashes), so every carried
     // retry re-enters exactly once during the drain.
     let calm = ServeConfig {
-        retry: chaos.retry,
+        sim: SimConfig::crashing(FailurePlan::none(), chaos.sim.retry),
         ..ServeConfig::default()
     };
     let mut restored = snapshot::restore(&snap, &calm).expect("snapshot restores");
@@ -693,8 +692,7 @@ fn seeded_chaos_survives_restarts_bit_identically() {
     let inst = random_general(&GeneralConfig::new(4, 800), 99);
     let plan = FailurePlan::seeded(0.6, 13, Dur(60));
     let cfg = ServeConfig {
-        plan,
-        retry: RetryPolicy::Fixed(Dur(3)),
+        sim: SimConfig::crashing(plan, RetryPolicy::Fixed(Dur(3))),
         ..ServeConfig::default()
     };
     let mut control = Session::new("t", &cfg).unwrap();
@@ -770,14 +768,12 @@ fn bin_compaction_survives_chaos_and_restarts_bit_identically() {
     let inst = churn_instance(1200, 99);
     let plan = FailurePlan::seeded(0.5, 13, Dur(30));
     let tight = ServeConfig {
-        plan: plan.clone(),
-        retry: RetryPolicy::Fixed(Dur(3)),
+        sim: SimConfig::crashing(plan.clone(), RetryPolicy::Fixed(Dur(3))),
         compact_slack: 8,
         ..ServeConfig::default()
     };
     let loose = ServeConfig {
-        plan,
-        retry: RetryPolicy::Fixed(Dur(3)),
+        sim: SimConfig::crashing(plan, RetryPolicy::Fixed(Dur(3))),
         compact_slack: usize::MAX / 4,
         ..ServeConfig::default()
     };

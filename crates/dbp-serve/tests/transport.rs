@@ -7,6 +7,7 @@
 //!   is still answered.
 //! - Every response line to requests carrying control bytes, quotes and
 //!   backslashes is valid JSON.
+//! - An out-of-range crash flag exits 2 with a message, never a panic.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -64,6 +65,31 @@ fn join(lines: &[String], ending: &str, last_ending: bool) -> Vec<u8> {
         s.push_str(ending);
     }
     s.into_bytes()
+}
+
+#[test]
+fn out_of_range_crash_flags_exit_2() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["--fail-rate", "2"], "bad fail rate '2'"),
+        (&["--fail-rate", "-0.1"], "bad fail rate '-0.1'"),
+        (&["--fail-rate", "nan"], "bad fail rate 'nan'"),
+        (
+            &["--fail-rate", "0.5", "--fail-mtbf", "0"],
+            "bad fail mtbf '0'",
+        ),
+        (&["--fail-seed"], "--fail-seed requires an integer"),
+    ];
+    for (flags, msg) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbp-serve"))
+            .arg("--stdin")
+            .args(flags)
+            .stdin(Stdio::null())
+            .output()
+            .expect("dbp-serve runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
+        assert!(err.contains(msg), "{flags:?}: {err}");
+    }
 }
 
 #[test]

@@ -22,6 +22,7 @@ use dbp_core::error::EngineError;
 use dbp_core::instance::Instance;
 use dbp_core::size::Size;
 use dbp_core::time::{Dur, Time};
+use dbp_core::{NoopSink, SimConfig};
 
 /// Configuration of the Theorem 4.3 adversary.
 #[derive(Debug, Clone)]
@@ -110,7 +111,7 @@ pub fn run_adversary<A: OnlineAlgorithm>(
     // (n+1)/⌈√n⌉ ≥ ⌈√n⌉ + 1 for n ≥ 1... see the forced test below).
     let load = Size::from_ratio(1, target as u64);
 
-    let mut sim = InteractiveSim::new(algo);
+    let mut sim = InteractiveSim::new(algo, 0, SimConfig::default(), NoopSink);
     let mut rounds_forced = 0u64;
     let mut items_released = 0usize;
     let mut last_lengths = Vec::with_capacity(rounds as usize);

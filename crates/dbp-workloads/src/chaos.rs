@@ -87,17 +87,17 @@ mod tests {
     #[test]
     fn storm_against_a_live_run_is_survivable() {
         use dbp_core::audit::InvariantAuditor;
-        use dbp_core::engine::run_with_failures;
+        use dbp_core::engine::run_with_config;
         use dbp_core::failure::RetryPolicy;
+        use dbp_core::SimConfig;
 
         let inst = crate::cloud::cloud_trace(&crate::cloud::CloudConfig::new(120, 600), 3);
         let plan = chaos_schedule(&ChaosConfig::new(25, 600, 30), 11);
         let mut auditor = InvariantAuditor::new();
-        let res = run_with_failures(
+        let res = run_with_config(
             &inst,
             dbp_algos_test_ff::Ff,
-            plan,
-            RetryPolicy::Fixed(dbp_core::time::Dur(3)),
+            SimConfig::crashing(plan, RetryPolicy::Fixed(dbp_core::time::Dur(3))),
             &mut auditor,
         )
         .unwrap();

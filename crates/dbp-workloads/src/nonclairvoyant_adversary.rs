@@ -26,6 +26,7 @@ use dbp_core::instance::Instance;
 use dbp_core::item::ItemId;
 use dbp_core::size::Size;
 use dbp_core::time::Time;
+use dbp_core::{NoopSink, SimConfig};
 
 /// Outcome of the non-clairvoyant adversary.
 #[derive(Debug, Clone)]
@@ -50,7 +51,7 @@ pub fn run_nc_adversary<A: OnlineAlgorithm>(
 ) -> Result<NcAdversaryOutcome, EngineError> {
     assert!(k >= 2 && mu >= 2);
     let size = Size::from_ratio(1, k);
-    let mut sim = InteractiveSim::new(algo);
+    let mut sim = InteractiveSim::new(algo, 0, SimConfig::default(), NoopSink);
     sim.try_advance_to(Time(0))?;
 
     // Phase 1: release k·k tiny undated items; remember bin membership.

@@ -7,6 +7,7 @@ use clairvoyant_dbp::core::{
     audit, engine, BinId, Dur, EngineError, Instance, Item, OnlineAlgorithm, Placement, SimView,
     Size, Time, VerifyError,
 };
+use clairvoyant_dbp::core::{NoopSink, SimConfig};
 
 fn sz(n: u64, d: u64) -> Size {
     Size::from_ratio(n, d)
@@ -117,7 +118,7 @@ fn closed_bin_reuse_rejected() {
 fn interactive_time_travel_rejected() {
     use clairvoyant_dbp::algos::FirstFit;
     use clairvoyant_dbp::core::InteractiveSim;
-    let mut sim = InteractiveSim::new(FirstFit::new());
+    let mut sim = InteractiveSim::new(FirstFit::new(), 0, SimConfig::default(), NoopSink);
     sim.arrive_at(Time(10), Dur(1), sz(1, 2)).unwrap();
     let err = sim.arrive_at(Time(9), Dur(1), sz(1, 2)).unwrap_err();
     assert!(matches!(err, EngineError::TimeRegression { .. }));

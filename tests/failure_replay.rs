@@ -7,6 +7,7 @@
 
 use clairvoyant_dbp::algos;
 use clairvoyant_dbp::core::trace::{event_from_json, event_to_json, EngineEvent, EventSink};
+use clairvoyant_dbp::core::SimConfig;
 use clairvoyant_dbp::core::{
     engine, BinStore, Dur, FailurePlan, Instance, InstanceBuilder, InvariantAuditor, RetryPolicy,
     Size, Time, VecSink,
@@ -77,11 +78,10 @@ proptest! {
         for _ in 0..2 {
             let plan = FailurePlan::seeded(rate, seed, Dur(24));
             let mut sink = RecordingAuditor::new();
-            let res = engine::run_with_failures(
+            let res = engine::run_with_config(
                 &inst,
                 algos::FirstFit::new(),
-                plan,
-                retry,
+                SimConfig::crashing(plan, retry),
                 &mut sink,
             )
             .expect("legal run");
@@ -126,11 +126,10 @@ proptest! {
             let plan = FailurePlan::seeded(0.0, seed, Dur(24));
             prop_assert!(plan.is_none(), "zero rate must collapse to None");
             let mut fail_sink = VecSink::new();
-            let failed = engine::run_with_failures(
+            let failed = engine::run_with_config(
                 &inst,
                 algos::by_name(name).expect("registry"),
-                plan,
-                RetryPolicy::Immediate,
+                SimConfig::crashing(plan, RetryPolicy::Immediate),
                 &mut fail_sink,
             )
             .expect("legal run");
@@ -157,11 +156,10 @@ fn chaos_stream_contains_the_failure_vocabulary() {
     );
     let plan = chaos_schedule(&ChaosConfig::new(30, 400, 20), 5);
     let mut sink = RecordingAuditor::new();
-    let res = engine::run_with_failures(
+    let res = engine::run_with_config(
         &inst,
         algos::FirstFit::new(),
-        plan,
-        RetryPolicy::Fixed(Dur(2)),
+        SimConfig::crashing(plan, RetryPolicy::Fixed(Dur(2))),
         &mut sink,
     )
     .expect("legal run");

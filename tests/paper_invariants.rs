@@ -13,7 +13,7 @@ use clairvoyant_dbp::workloads::{
 /// `max_0(binary(t)) + 1` at every single moment.
 #[test]
 fn corollary_5_8_exact_across_scales() {
-    for n in [1u32, 2, 5, 7, 10, 12] {
+    for n in [1u32, 2, 5, 7, 8, 10, 12] {
         let inst = sigma_mu(n);
         let res = engine::run(&inst, Cdff::new()).expect("legal");
         for t in 0..(1u64 << n) {

@@ -21,6 +21,7 @@
 
 use clairvoyant_dbp::algos;
 use clairvoyant_dbp::core::trace::{parse_jsonl, write_event_json, EngineEvent, VecSink};
+use clairvoyant_dbp::core::SimConfig;
 use clairvoyant_dbp::core::{
     engine, BinId, Dur, Instance, InstanceBuilder, InvariantAuditor, ItemId, Load, RecourseBudget,
     Size, Time,
@@ -61,10 +62,10 @@ proptest! {
             for prefix in ["rod:", "amortized:"] {
                 let wrapped = format!("{prefix}{base}");
                 let mut sink = VecSink::new();
-                let res = engine::run_with_recourse(
+                let res = engine::run_with_config(
                     &inst,
                     algos::by_name(&wrapped).expect("wrappers resolve recursively"),
-                    RecourseBudget::None,
+                    SimConfig::repacking(RecourseBudget::None),
                     &mut sink,
                 )
                 .expect("legal run");
@@ -97,10 +98,10 @@ proptest! {
                 let wrapped = format!("{prefix}{base}");
                 let mut auditor = InvariantAuditor::new();
                 auditor.expect_budget(RecourseBudget::Unlimited);
-                let res = engine::run_with_recourse(
+                let res = engine::run_with_config(
                     &inst,
                     algos::by_name(&wrapped).expect("wrappers resolve recursively"),
-                    RecourseBudget::Unlimited,
+                    SimConfig::repacking(RecourseBudget::Unlimited),
                     &mut auditor,
                 );
                 let res = match res {
